@@ -17,7 +17,7 @@
 
 /// Continuous-batching policy. Present on
 /// [`ServingOptions::batching`](crate::serving::ServingOptions::batching)
-/// iff batching is enabled; the solo path is untouched otherwise.
+/// iff batching is enabled; otherwise each request is placed solo.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchingOptions {
     /// Bounded batch-forming delay: a bucket flushes at most this many

@@ -23,8 +23,10 @@
 //! pins it to a *virtual* timestamp, making the shed set a pure function
 //! of each request's `arrival_ns` — deterministic and testable.
 //! [`Lifecycle::request_drain`] is the real-time trigger (a signal
-//! handler, an operator command): it closes admission at whatever ticket
-//! each worker grabs next, which is honest about what a live shutdown is.
+//! handler, an operator command): it closes admission at whatever request
+//! the compile phase reaches next, which is honest about what a live
+//! shutdown is. A request already compiled when the drain lands runs to
+//! its normal disposition.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -23,14 +23,15 @@
 //! * [`colaunch`] — the co-launch planner: flushed buckets are packed
 //!   into multi-group device waves that never oversubscribe the
 //!   machine's warp slots.
-//! * [`worker`] — the [`ServingRuntime`] itself: the solo dispatcher
-//!   (PR 5 behaviour, the default) and the batched dispatcher wiring the
-//!   layers above together.
+//! * [`worker`] — the [`ServingRuntime`] itself: one dispatcher, a
+//!   parallel compile phase followed by a single-threaded replay that
+//!   places each request solo (the default) or through the batching and
+//!   co-launch layers above.
 //! * [`lifecycle`] — long-lived-process concerns: graceful drain
 //!   ([`Lifecycle`], [`DrainReport`]) and live warm-state snapshots
 //!   ([`Snapshotter`]) taken off the lock-free cache read path.
 //! * [`report`] — [`ServingReport`], latency summaries, per-tenant
-//!   stats, and the telemetry emission shared by both dispatchers.
+//!   stats, and per-request telemetry emission.
 //!
 //! Everything is re-exported flat from this module, so
 //! `serving::ServingRuntime` et al. keep working unchanged.
@@ -53,21 +54,20 @@
 //!   a device were both free — plus, under batching, the bounded
 //!   batch-forming delay between compile-done and wave dispatch.
 //!   Arrivals are virtual timestamps (e.g. Poisson via
-//!   [`poisson_arrivals`]); each worker advances a virtual clock
-//!   `free_at`, and the device pool keeps a per-device virtual free
-//!   time, so queueing behaviour is deterministic under a seed while
-//!   compile times remain real measurements.
+//!   [`poisson_arrivals`]); each worker slot and each device keeps a
+//!   virtual free time, so queueing behaviour is deterministic under a
+//!   seed while compile times remain real measurements.
 //!
-//! Workers pull requests in arrival order from a shared cursor (FIFO
-//! dispatch to the first idle worker), which is the M/G/m discipline the
-//! tail-latency experiment models.
-//!
-//! The real work (compilation) runs in parallel across OS threads, but
-//! the *virtual* bookkeeping — which worker slot and device a request
-//! takes, and when — is applied in strict arrival order behind a ticket
-//! sequencer (solo) or computed in a single-threaded dispatch replay
-//! (batched). The virtual timeline is therefore a deterministic function
-//! of the request stream and the measured compile durations, never of OS
+//! Serving runs in two phases. In phase A the real work (compilation)
+//! runs in parallel across OS threads (one per worker, at most one per
+//! host core) that pull requests from a shared cursor. Phase B is a single-threaded replay of the virtual timeline:
+//! arrivals in order take the earliest-free worker slot (FIFO dispatch
+//! to the first idle worker, the M/G/m discipline the tail-latency
+//! experiment models), then a device by one of two rules — solo, the
+//! earliest-free device with the worker held until the request
+//! finishes; or batched, a co-launch wave with the worker released at
+//! compile-done. The timeline is therefore a deterministic function of
+//! the request stream and the measured compile durations, never of OS
 //! scheduling: a starved thread cannot skew queueing, and enabling
 //! telemetry cannot shift throughput.
 //!

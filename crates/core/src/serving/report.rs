@@ -3,11 +3,11 @@
 //! Everything observational lives here: the per-stream [`ServingReport`]
 //! with its disposition/latency/SLO summaries, per-tenant aggregation,
 //! the exact-percentile helper, and the span/metric/flight-recorder
-//! emission shared by the solo and batched dispatchers.
+//! emission for every request the dispatcher settles.
 
 use mikpoly_telemetry::{
-    ChainRecord, Clock, Histogram, Lane, LatencyStats, SloEngine, SloObservation, SloPolicy,
-    SloReport, SpanRecord, Telemetry,
+    ChainRecord, Clock, Lane, LatencyStats, SloEngine, SloObservation, SloPolicy, SloReport,
+    SpanRecord, Telemetry,
 };
 
 use super::request::{
@@ -161,29 +161,33 @@ impl ServingReport {
         executed.iter().sum::<usize>() as f64 / executed.len() as f64
     }
 
-    /// Summarizes the latency distribution and its decomposition by
-    /// feeding every record through the telemetry histogram type — one
+    /// Summarizes the latency distribution and its decomposition — one
     /// clock-labelled readout per phase, so real (compile) and virtual
     /// (queue/device/total) time can never be conflated in a summary.
-    /// Percentiles are log2-bucket estimates (within one bucket width of
-    /// exact — see [`percentile`] for the exact sorted-slice form); counts,
-    /// means, and maxima are exact.
+    /// Every figure is exact over the records: percentiles are the
+    /// nearest-rank [`percentile`] of the sorted samples.
     pub fn latency_summary(&self) -> LatencySummary {
-        let total = Histogram::new(Clock::Virtual);
-        let queue = Histogram::new(Clock::Virtual);
-        let compile = Histogram::new(Clock::Real);
-        let device = Histogram::new(Clock::Virtual);
-        for r in &self.records {
-            total.record_f64(r.timeline_total_ns());
-            queue.record_f64(r.queue_ns);
-            compile.record_f64(r.compile.real_ns());
-            device.record_f64(r.device_ns);
-        }
+        let stats = |clock: Clock, sample: fn(&RequestRecord) -> f64| {
+            let mut samples: Vec<f64> = self.records.iter().map(sample).collect();
+            samples.sort_by(f64::total_cmp);
+            match samples.last() {
+                None => LatencyStats::empty(clock),
+                Some(&max_ns) => LatencyStats {
+                    clock,
+                    count: samples.len() as u64,
+                    p50_ns: percentile(&samples, 0.50),
+                    p95_ns: percentile(&samples, 0.95),
+                    p99_ns: percentile(&samples, 0.99),
+                    max_ns,
+                    mean_ns: samples.iter().sum::<f64>() / samples.len() as f64,
+                },
+            }
+        };
         LatencySummary {
-            total: total.stats(),
-            queue: queue.stats(),
-            compile: compile.stats(),
-            device: device.stats(),
+            total: stats(Clock::Virtual, RequestRecord::timeline_total_ns),
+            queue: stats(Clock::Virtual, |r| r.queue_ns),
+            compile: stats(Clock::Real, |r| r.compile.real_ns()),
+            device: stats(Clock::Virtual, |r| r.device_ns),
         }
     }
 
@@ -282,7 +286,7 @@ pub(crate) fn describe_serving_metrics(registry: &mikpoly_telemetry::Registry) {
             "serving.retried",
             "device retry attempts across all requests",
         ),
-        ("serving.workers", "serving worker threads in the run"),
+        ("serving.workers", "serving worker slots in the run"),
         ("serving.devices", "simulated devices in the run"),
         (
             "serving.makespan_ms",

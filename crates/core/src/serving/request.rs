@@ -119,7 +119,7 @@ impl ShedReason {
 
 /// Per-request latency decomposition (see the module docs for which parts
 /// are real versus virtual time).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
     /// The request's id.
     pub id: usize,

@@ -1,31 +1,33 @@
-//! The serving runtime: worker pools, the solo dispatcher, and the
-//! batched/co-launch dispatcher.
+//! The serving runtime: one dispatcher, a two-phase replay with two
+//! device-placement rules.
 //!
-//! Both dispatchers share admission semantics, the compile phase
-//! ([`ServingRuntime::compile_request`]: breaker check, panic-isolated
-//! budgeted compile, degraded fallback, deterministic device-fault retry
-//! schedule), and the reporting tail. They differ in what happens after
-//! a request's program is ready:
-//!
-//! * **solo** (default) — the worker holds the request through device
-//!   execution; virtual bookkeeping runs in strict arrival order behind
-//!   a ticket [`Sequencer`] while real compile work overlaps across OS
-//!   threads (PR 5 behaviour, bit-for-bit).
-//! * **batched** ([`ServingOptions::batching`]) — the worker is released
-//!   at compile-done; ready requests enter shape buckets
-//!   ([`super::batching`]) and flushed buckets are packed into co-launch
-//!   waves ([`super::colaunch`]) that share one device launch. Compiles
-//!   still run in parallel (phase A); the dispatch timeline is then
-//!   computed single-threaded (phase B), which is deterministic by
-//!   construction — no sequencer needed.
+//! * **Phase A — parallel compile.** Compile threads — one per worker,
+//!   but no more than the host has cores — race an atomic cursor over the
+//!   arrival-ordered stream. Each request first meets pre-admission: one
+//!   that arrived past the drain point or after its own deadline is shed
+//!   and never compiled. Every other request runs the compile pipeline ([`ServingRuntime::compile_request`]: breaker check,
+//!   panic-isolated budgeted compile, degraded fallback, deterministic
+//!   device-fault retry schedule). The verdict — shed, or compiled with
+//!   its outcome — is stored per request; phase B only reads it.
+//! * **Phase B — single-threaded replay** on virtual timestamps, so the
+//!   timeline is a function of the stream and the measured compile times,
+//!   never of thread scheduling. Step 1 walks arrivals in order through
+//!   the shed ladder (deadline → tenant quota → queue bound) and places
+//!   each admitted request on the earliest-free worker slot. Then the
+//!   device is placed by one of two rules:
+//!   * **solo** (default) — the request takes the earliest-free device at
+//!     its ready time and holds its worker until it finishes, as a wave of
+//!     one;
+//!   * **batched** ([`ServingOptions::batching`]) — the worker is released
+//!     at compile-done; ready requests enter shape buckets
+//!     ([`super::batching`]) and flushed buckets are packed into co-launch
+//!     waves ([`super::colaunch`]) that share one device launch.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use accel_sim::{Cluster, FaultPlan};
 use mikpoly_telemetry::{Clock, ClockNs, Telemetry};
@@ -64,8 +66,8 @@ pub struct ServingOptions {
     /// Deterministic fault-injection plan, installed into the engine's
     /// compilers for the duration of each [`ServingRuntime::serve`] call.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Continuous batching + co-launch. `None` (default) keeps the solo
-    /// dispatcher.
+    /// Continuous batching + co-launch. `None` (default) places each
+    /// request on a device by itself (solo).
     pub batching: Option<BatchingOptions>,
     /// Per-tenant quotas and fair-share weights. `None` (default) treats
     /// the stream as single-tenant.
@@ -92,11 +94,17 @@ struct CompileOutcome {
     breaker_event: Option<&'static str>,
 }
 
-/// A compiled request awaiting batching in the phase-B dispatcher.
-struct Pending<'a> {
+/// Phase A's verdict on one request.
+enum Verdict {
+    /// Shed at pre-admission, before any compile work.
+    Shed(ShedReason),
+    /// Compiled; phase B admits or sheds it on the virtual timeline.
+    Compiled(CompileOutcome),
+}
+
+/// A compiled request that passed admission and awaits its device run.
+struct Admitted<'a> {
     request: &'a Request,
-    /// Index into the arrival-ordered record table.
-    slot: usize,
     worker: usize,
     start_ns: f64,
     ready_ns: f64,
@@ -104,11 +112,52 @@ struct Pending<'a> {
     plan: GraphPlan,
     retries: u32,
     device_failed: bool,
-    /// Virtual device time beyond one clean execution (fault backoffs
-    /// plus solo re-runs), charged to the member's record but not to the
-    /// shared wave.
-    retry_extra_ns: f64,
+    /// Virtual device time across attempts and backoffs, ns.
+    total_device_ns: f64,
     breaker_event: Option<&'static str>,
+}
+
+impl Admitted<'_> {
+    /// The record of the executed request: its device run began on
+    /// `device` at `device_start` (dispatch latency included) and took
+    /// `run_ns` — the solo run with its retries, or the shared wave — plus
+    /// `extra_ns` charged to this request alone.
+    fn record(
+        &self,
+        device: usize,
+        device_start: f64,
+        run_ns: f64,
+        extra_ns: f64,
+        batch_size: usize,
+        dispatch_ns: f64,
+    ) -> RequestRecord {
+        let disposition = if self.device_failed {
+            Disposition::Failed
+        } else if self.plan.run.degraded > 0 {
+            Disposition::Degraded
+        } else {
+            Disposition::Completed
+        };
+        RequestRecord {
+            id: self.request.id,
+            tenant: self.request.tenant,
+            worker: self.worker,
+            device,
+            queue_ns: (self.start_ns - self.request.arrival_ns)
+                + (device_start - dispatch_ns - self.ready_ns),
+            compile: self.compile,
+            search_ns: self.plan.run.search_ns,
+            cache_wait_ns: self.plan.run.cache_wait_ns,
+            device_ns: run_ns + dispatch_ns + extra_ns,
+            finish_ns: device_start + run_ns + extra_ns,
+            disposition,
+            shed_reason: None,
+            retries: self.retries,
+            deadline_ns: self.request.deadline_ns,
+            breaker_event: self.breaker_event,
+            batch_size,
+        }
+    }
 }
 
 /// A multi-worker request executor over a shared engine and a simulated
@@ -124,8 +173,9 @@ pub struct ServingRuntime {
 }
 
 impl ServingRuntime {
-    /// Creates a runtime with `workers` threads over `cluster`'s devices.
-    /// Telemetry defaults to the engine's handle (so an engine built with
+    /// Creates a runtime with `workers` worker slots over `cluster`'s
+    /// devices. Requests compile on `workers` threads, capped at the
+    /// host's core count. Telemetry defaults to the engine's handle (so an engine built with
     /// [`Engine::offline_with_telemetry`] gets serving spans for free).
     ///
     /// # Panics
@@ -179,7 +229,7 @@ impl ServingRuntime {
         &self.engine
     }
 
-    /// Worker-thread count.
+    /// Worker-slot count.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -332,7 +382,7 @@ impl ServingRuntime {
         };
         // Device faults are a pure function of (plan, request id, attempt),
         // so the whole retry schedule — and its virtual cost — is known
-        // before the request reaches the dispatch section.
+        // before the replay places the request on a device.
         let mut retries = 0u32;
         let mut device_failed = false;
         let mut total_device_ns = plan.as_ref().map_or(0.0, |p| p.run.device_ns);
@@ -362,350 +412,80 @@ impl ServingRuntime {
     /// Serves `requests` (any order; they are dispatched by arrival time)
     /// to completion and reports per-request latency decompositions plus
     /// worker and cache counters. Every request terminates with exactly
-    /// one [`Disposition`]. Routes to the batched dispatcher when
-    /// [`ServingOptions::batching`] is set, the solo dispatcher
-    /// otherwise.
+    /// one [`Disposition`].
+    ///
+    /// Phase A compiles every request in parallel across threads.
+    /// Phase B replays the virtual timeline on this thread: admission and
+    /// worker placement in arrival order, then device placement — straight
+    /// onto the earliest-free device (solo), or through shape buckets and
+    /// co-launch waves when [`ServingOptions::batching`] is set.
     pub fn serve(&self, requests: &[Request]) -> ServingReport {
         if let Some(plan) = &self.options.fault_plan {
             self.engine.set_fault_plan(Some(Arc::clone(plan)));
         }
-        match self.options.batching {
-            Some(batching) => self.serve_batched(requests, batching),
-            None => self.serve_solo(requests),
-        }
-    }
-
-    /// The solo dispatcher: each worker holds its request end to end.
-    fn serve_solo(&self, requests: &[Request]) -> ServingReport {
+        let batching = self.options.batching;
         let mut ordered: Vec<&Request> = requests.iter().collect();
         ordered.sort_by(|a, b| f64::total_cmp(&a.arrival_ns, &b.arrival_ns));
-        let cursor = AtomicUsize::new(0);
-        let sequencer = Sequencer::new();
-        // Virtual free time per worker slot and per device. A request is
-        // assigned (in arrival order) to the earliest-free worker slot,
-        // then takes the earliest-free device once its compilation is
-        // done. Slots are virtual-time identities, deliberately decoupled
-        // from the OS threads doing the real compile work, so the
-        // timeline cannot be skewed by thread starvation.
-        let worker_pool = Mutex::new(vec![0.0f64; self.workers]);
-        let device_pool = Mutex::new(vec![0.0f64; self.cluster.devices]);
-        let waiting = Mutex::new(WaitQueue::new());
+        let verdicts = self.compile_phase(&ordered);
+
         // Dispatch over the interconnect only when the pool is remote.
         let dispatch_ns = if self.cluster.devices > 1 {
             self.cluster.interconnect.latency_ns
         } else {
             0.0
         };
-        let tenancy = self.tenancy();
-
         let telemetry = &self.telemetry;
-        let per_thread: Vec<Vec<RequestRecord>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|_| {
-                    let ordered = &ordered;
-                    let cursor = &cursor;
-                    let sequencer = &sequencer;
-                    let worker_pool = &worker_pool;
-                    let device_pool = &device_pool;
-                    let waiting = &waiting;
-                    scope.spawn(move || {
-                        let mut records = Vec::new();
-                        loop {
-                            let ticket = cursor.fetch_add(1, Ordering::SeqCst);
-                            let Some(request) = ordered.get(ticket) else {
-                                break;
-                            };
-                            // Pre-admission shed: a drain point the request
-                            // arrived past, or a deadline that passed
-                            // before arrival, means the request is never
-                            // compiled at all — it only takes (and
-                            // immediately passes) its sequencer turn.
-                            let pre_shed = if self.lifecycle.draining_at(request.arrival_ns) {
-                                Some(ShedReason::Draining)
-                            } else if request.deadline_ns.is_some_and(|d| d <= request.arrival_ns) {
-                                Some(ShedReason::DeadlineAtEnqueue)
-                            } else {
-                                None
-                            };
-                            if let Some(reason) = pre_shed {
-                                sequencer.wait_for(ticket);
-                                sequencer.advance();
-                                let record = shed_record(request, reason);
-                                if telemetry.is_enabled() {
-                                    emit_request_telemetry(
-                                        telemetry,
-                                        request,
-                                        &record,
-                                        &EmitContext {
-                                            start: request.arrival_ns,
-                                            exec: None,
-                                            dispatch_ns,
-                                            tenancy,
-                                            batched: false,
-                                        },
-                                    );
-                                }
-                                records.push(record);
-                                continue;
-                            }
-                            // Real wall-clock compile (0 on cache hits),
-                            // simulated device time — the expensive part,
-                            // running in parallel across threads and
-                            // panic-isolated inside `compile_request`.
-                            let outcome = self.compile_request(request);
-                            // The worker is genuinely occupied for the real
-                            // compile wall-clock while virtual arrivals keep
-                            // accumulating — the one sanctioned projection
-                            // of real time onto the serving timeline.
-                            let compile = ClockNs::real(outcome.compile_ns as f64);
-
-                            // Virtual bookkeeping in strict arrival order.
-                            // Everything from here to `advance` must be
-                            // panic-free: a panic would strand every later
-                            // ticket on the sequencer.
-                            sequencer.wait_for(ticket);
-                            let mut waiting_q = waiting.lock();
-                            waiting_q.expire(request.arrival_ns);
-                            let (worker, worker_free) = earliest_free(&worker_pool.lock());
-                            let start = request.arrival_ns.max(worker_free);
-                            let shed = if request.deadline_ns.is_some_and(|d| start > d) {
-                                Some(ShedReason::DeadlineAtDispatch)
-                            } else if start > request.arrival_ns
-                                && self
-                                    .tenant_waiting_cap(request)
-                                    .is_some_and(|cap| waiting_q.tenant_len(request.tenant) >= cap)
-                            {
-                                Some(ShedReason::TenantThrottled)
-                            } else if start > request.arrival_ns
-                                && self
-                                    .options
-                                    .queue_capacity
-                                    .is_some_and(|cap| waiting_q.len() >= cap)
-                            {
-                                Some(ShedReason::QueueFull)
-                            } else {
-                                if start > request.arrival_ns {
-                                    waiting_q.push(start, request.tenant);
-                                }
-                                None
-                            };
-                            drop(waiting_q);
-
-                            let (record, exec) = if let Some(reason) = shed {
-                                // Shed: no virtual resources consumed.
-                                (shed_record(request, reason), None)
-                            } else if let Some(plan) = &outcome.plan {
-                                let ready = start + compile.onto_virtual_timeline();
-                                let (device, device_start) = {
-                                    let mut pool = device_pool.lock();
-                                    let (device, device_free) = earliest_free(&pool);
-                                    let device_start = ready.max(device_free) + dispatch_ns;
-                                    pool[device] = device_start + outcome.total_device_ns;
-                                    (device, device_start)
-                                };
-                                let finish = device_start + outcome.total_device_ns;
-                                worker_pool.lock()[worker] = finish;
-                                let disposition = if outcome.device_failed {
-                                    Disposition::Failed
-                                } else if plan.run.degraded > 0 {
-                                    Disposition::Degraded
-                                } else {
-                                    Disposition::Completed
-                                };
-                                (
-                                    RequestRecord {
-                                        id: request.id,
-                                        tenant: request.tenant,
-                                        worker,
-                                        device,
-                                        queue_ns: (start - request.arrival_ns)
-                                            + (device_start - dispatch_ns - ready),
-                                        compile,
-                                        search_ns: plan.run.search_ns,
-                                        cache_wait_ns: plan.run.cache_wait_ns,
-                                        device_ns: outcome.total_device_ns + dispatch_ns,
-                                        finish_ns: finish,
-                                        disposition,
-                                        shed_reason: None,
-                                        retries: outcome.retries,
-                                        deadline_ns: request.deadline_ns,
-                                        breaker_event: outcome.breaker_event,
-                                        batch_size: 1,
-                                    },
-                                    Some((ready, device_start)),
-                                )
-                            } else {
-                                // Both compile paths failed: the worker was
-                                // occupied for the compile window, but no
-                                // device was ever dispatched.
-                                let finish = start + compile.onto_virtual_timeline();
-                                worker_pool.lock()[worker] = finish;
-                                (
-                                    RequestRecord {
-                                        id: request.id,
-                                        tenant: request.tenant,
-                                        worker,
-                                        device: NO_SLOT,
-                                        queue_ns: start - request.arrival_ns,
-                                        compile,
-                                        search_ns: 0,
-                                        cache_wait_ns: 0,
-                                        device_ns: 0.0,
-                                        finish_ns: finish,
-                                        disposition: Disposition::Failed,
-                                        shed_reason: None,
-                                        retries: outcome.retries,
-                                        deadline_ns: request.deadline_ns,
-                                        breaker_event: outcome.breaker_event,
-                                        batch_size: 0,
-                                    },
-                                    None,
-                                )
-                            };
-                            sequencer.advance();
-
-                            if telemetry.is_enabled() {
-                                emit_request_telemetry(
-                                    telemetry,
-                                    request,
-                                    &record,
-                                    &EmitContext {
-                                        start,
-                                        exec,
-                                        dispatch_ns,
-                                        tenancy,
-                                        batched: false,
-                                    },
-                                );
-                            }
-                            records.push(record);
-                        }
-                        records
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // The per-ticket body is panic-isolated; if a worker
-                    // dies anyway, surface the panic rather than silently
-                    // dropping its records.
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        });
-
-        let first_arrival = ordered.first().map_or(0.0, |r| r.arrival_ns);
-        let records: Vec<RequestRecord> = per_thread.into_iter().flatten().collect();
-        self.build_report(records, first_arrival, true)
-    }
-
-    /// The batched dispatcher: phase A compiles every admissible request
-    /// in parallel; phase B replays the virtual timeline single-threaded —
-    /// admission and worker placement in arrival order, then shape-bucket
-    /// formation over compile-ready events, then co-launch waves onto the
-    /// device pool in flush order.
-    fn serve_batched(&self, requests: &[Request], batching: BatchingOptions) -> ServingReport {
-        let mut ordered: Vec<&Request> = requests.iter().collect();
-        ordered.sort_by(|a, b| f64::total_cmp(&a.arrival_ns, &b.arrival_ns));
-        let n = ordered.len();
         let tenancy = self.tenancy();
-        let policy = self.options.tenancy.clone().unwrap_or_default();
-        let dispatch_ns = if self.cluster.devices > 1 {
-            self.cluster.interconnect.latency_ns
-        } else {
-            0.0
-        };
-        let telemetry = &self.telemetry;
-
-        // Phase A: parallel compile across the worker threads. Requests
-        // already expired at arrival are never compiled (the enqueue-shed
-        // guarantee the solo path makes).
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CompileOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|_| {
-                    let ordered = &ordered;
-                    let cursor = &cursor;
-                    let slots = &slots;
-                    scope.spawn(move || loop {
-                        let i = cursor.fetch_add(1, Ordering::SeqCst);
-                        let Some(request) = ordered.get(i) else {
-                            break;
-                        };
-                        if request.deadline_ns.is_some_and(|d| d <= request.arrival_ns)
-                            || self.lifecycle.draining_at(request.arrival_ns)
-                        {
-                            continue;
-                        }
-                        *slots[i].lock() = Some(self.compile_request(request));
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            }
-        });
-        let mut outcomes: Vec<Option<CompileOutcome>> =
-            slots.into_iter().map(Mutex::into_inner).collect();
+        let mut records: Vec<RequestRecord> = Vec::with_capacity(ordered.len());
+        // Files a request's one record and emits its telemetry.
+        let mut settle =
+            |request: &Request, record: RequestRecord, start: f64, exec: Option<(f64, f64)>| {
+                if telemetry.is_enabled() {
+                    let ctx = EmitContext {
+                        start,
+                        exec,
+                        dispatch_ns,
+                        tenancy,
+                        batched: batching.is_some(),
+                    };
+                    emit_request_telemetry(telemetry, request, &record, &ctx);
+                }
+                records.push(record);
+            };
 
         // Phase B step 1: admission and worker placement in arrival
-        // order. Workers are released at compile-done — the defining move
-        // of continuous batching — so `worker_pool` tracks compile
-        // occupancy only.
+        // order. Worker slots and devices are virtual free times,
+        // decoupled from the OS threads that compiled in phase A, so the
+        // timeline cannot be skewed by thread scheduling.
         let mut worker_pool = vec![0.0f64; self.workers];
         let mut device_pool = vec![0.0f64; self.cluster.devices];
         let mut waiting = WaitQueue::new();
-        let mut records: Vec<Option<RequestRecord>> = vec![None; n];
-        let mut pending: Vec<Pending<'_>> = Vec::new();
-        for (slot, request) in ordered.iter().enumerate() {
-            let pre_shed = if self.lifecycle.draining_at(request.arrival_ns) {
-                Some(ShedReason::Draining)
-            } else if request.deadline_ns.is_some_and(|d| d <= request.arrival_ns) {
-                Some(ShedReason::DeadlineAtEnqueue)
-            } else {
-                None
-            };
-            if let Some(reason) = pre_shed {
-                let record = shed_record(request, reason);
-                if telemetry.is_enabled() {
-                    emit_request_telemetry(
-                        telemetry,
-                        request,
-                        &record,
-                        &EmitContext {
-                            start: request.arrival_ns,
-                            exec: None,
-                            dispatch_ns,
-                            tenancy,
-                            batched: true,
-                        },
-                    );
+        let mut pending: Vec<Admitted<'_>> = Vec::new();
+        for (&request, verdict) in ordered.iter().zip(verdicts) {
+            let outcome = match verdict {
+                Verdict::Shed(reason) => {
+                    let record = shed_record(request, reason);
+                    settle(request, record, request.arrival_ns, None);
+                    continue;
                 }
-                records[slot] = Some(record);
-                continue;
-            }
-            let Some(outcome) = outcomes[slot].take() else {
-                // Unreachable: phase A compiled every non-expired request.
-                records[slot] = Some(shed_record(request, ShedReason::DeadlineAtEnqueue));
-                continue;
+                Verdict::Compiled(outcome) => outcome,
             };
-            let compile = ClockNs::real(outcome.compile_ns as f64);
             waiting.expire(request.arrival_ns);
             let (worker, worker_free) = earliest_free(&worker_pool);
             let start = request.arrival_ns.max(worker_free);
+            // The shed ladder, in its fixed order: deadline, then tenant
+            // quota, then the global queue bound. Shed requests consume
+            // no virtual resources.
+            let waits = start > request.arrival_ns;
             let shed = if request.deadline_ns.is_some_and(|d| start > d) {
                 Some(ShedReason::DeadlineAtDispatch)
-            } else if start > request.arrival_ns
+            } else if waits
                 && self
                     .tenant_waiting_cap(request)
                     .is_some_and(|cap| waiting.tenant_len(request.tenant) >= cap)
             {
                 Some(ShedReason::TenantThrottled)
-            } else if start > request.arrival_ns
+            } else if waits
                 && self
                     .options
                     .queue_capacity
@@ -713,35 +493,25 @@ impl ServingRuntime {
             {
                 Some(ShedReason::QueueFull)
             } else {
-                if start > request.arrival_ns {
+                if waits {
                     waiting.push(start, request.tenant);
                 }
                 None
             };
             if let Some(reason) = shed {
                 let record = shed_record(request, reason);
-                if telemetry.is_enabled() {
-                    emit_request_telemetry(
-                        telemetry,
-                        request,
-                        &record,
-                        &EmitContext {
-                            start: request.arrival_ns,
-                            exec: None,
-                            dispatch_ns,
-                            tenancy,
-                            batched: true,
-                        },
-                    );
-                }
-                records[slot] = Some(record);
+                settle(request, record, request.arrival_ns, None);
                 continue;
             }
+            // The worker is genuinely occupied for the real compile
+            // wall-clock while virtual arrivals keep accumulating — the
+            // one sanctioned projection of real time onto the timeline.
+            let compile = ClockNs::real(outcome.compile_ns as f64);
+            let ready = start + compile.onto_virtual_timeline();
             let Some(plan) = outcome.plan else {
                 // Both compile paths failed: the worker was occupied for
                 // the compile window; no device is ever dispatched.
-                let finish = start + compile.onto_virtual_timeline();
-                worker_pool[worker] = finish;
+                worker_pool[worker] = ready;
                 let record = RequestRecord {
                     id: request.id,
                     tenant: request.tenant,
@@ -752,7 +522,7 @@ impl ServingRuntime {
                     search_ns: 0,
                     cache_wait_ns: 0,
                     device_ns: 0.0,
-                    finish_ns: finish,
+                    finish_ns: ready,
                     disposition: Disposition::Failed,
                     shed_reason: None,
                     retries: outcome.retries,
@@ -760,29 +530,11 @@ impl ServingRuntime {
                     breaker_event: outcome.breaker_event,
                     batch_size: 0,
                 };
-                if telemetry.is_enabled() {
-                    emit_request_telemetry(
-                        telemetry,
-                        request,
-                        &record,
-                        &EmitContext {
-                            start,
-                            exec: None,
-                            dispatch_ns,
-                            tenancy,
-                            batched: true,
-                        },
-                    );
-                }
-                records[slot] = Some(record);
+                settle(request, record, start, None);
                 continue;
             };
-            let ready = start + compile.onto_virtual_timeline();
-            worker_pool[worker] = ready;
-            let retry_extra_ns = outcome.total_device_ns - plan.run.device_ns;
-            pending.push(Pending {
+            let admitted = Admitted {
                 request,
-                slot,
                 worker,
                 start_ns: start,
                 ready_ns: ready,
@@ -790,109 +542,168 @@ impl ServingRuntime {
                 plan,
                 retries: outcome.retries,
                 device_failed: outcome.device_failed,
-                retry_extra_ns,
+                total_device_ns: outcome.total_device_ns,
                 breaker_event: outcome.breaker_event,
-            });
+            };
+            if batching.is_some() {
+                // Continuous batching releases the worker at compile-done;
+                // steps 2 and 3 place the device run.
+                worker_pool[worker] = ready;
+                pending.push(admitted);
+            } else {
+                // Solo: the request takes the earliest-free device at its
+                // ready time and holds its worker until it finishes.
+                let (device, device_free) = earliest_free(&device_pool);
+                let device_start = ready.max(device_free) + dispatch_ns;
+                let record = admitted.record(
+                    device,
+                    device_start,
+                    admitted.total_device_ns,
+                    0.0,
+                    1,
+                    dispatch_ns,
+                );
+                device_pool[device] = record.finish_ns;
+                worker_pool[worker] = record.finish_ns;
+                settle(request, record, start, Some((ready, device_start)));
+            }
         }
 
-        // Phase B step 2: shape-bucket formation over ready events.
-        let mut events: Vec<ReadyEvent> = pending
-            .iter()
-            .enumerate()
-            .map(|(index, p)| ReadyEvent {
-                pending: index,
-                id: p.request.id,
-                ready_ns: p.ready_ns,
-                shape_key: request_shape_key(p.request),
-            })
-            .collect();
-        events.sort_by(|a, b| f64::total_cmp(&a.ready_ns, &b.ready_ns).then(a.id.cmp(&b.id)));
-        let flushes = form_batches(&events, batching);
-
-        // Phase B step 3: co-launch waves onto the device pool in flush
-        // order. Bucket members run identical programs, so a wave of k
-        // members is k merged copies of one launch sequence; its
-        // simulated duration is cached per (shape, k).
-        let capacity = warp_capacity(&self.cluster.machine);
-        let mut meter = FairMeter::new();
-        let mut wave_cache: HashMap<(u64, usize), f64> = HashMap::new();
-        for flush in flushes {
-            let mut members = flush.members;
-            meter.order_by_fairness(&policy, &mut members, |index| pending[index].request.tenant);
-            let demands: Vec<u64> = members
+        if let Some(batching) = batching {
+            // Phase B step 2: shape-bucket formation over ready events.
+            let mut events: Vec<ReadyEvent> = pending
                 .iter()
-                .map(|&index| plan_demand(&pending[index].plan.ops))
+                .enumerate()
+                .map(|(index, p)| ReadyEvent {
+                    pending: index,
+                    id: p.request.id,
+                    ready_ns: p.ready_ns,
+                    shape_key: request_shape_key(p.request),
+                })
                 .collect();
-            for wave in plan_waves(&demands, capacity) {
-                let k = wave.len();
-                let lead = &pending[members[wave[0]]];
-                let wave_ns = *wave_cache
-                    .entry((flush.shape_key, k))
-                    .or_insert_with(|| wave_device_ns(&self.cluster.machine, &lead.plan.ops, k));
-                let (device, device_free) = earliest_free(&device_pool);
-                let wave_start = flush.flush_ns.max(device_free) + dispatch_ns;
-                device_pool[device] = wave_start + wave_ns;
-                if telemetry.is_enabled() {
-                    let registry = telemetry.registry();
-                    registry.counter("serving.waves").inc();
-                    let load: u64 = wave.iter().map(|&w| demands[w]).sum();
-                    registry
-                        .histogram("serving.wave_occupancy_pct", Clock::Virtual)
-                        .record_f64(100.0 * load as f64 / capacity.max(1) as f64);
-                }
-                for &w in &wave {
-                    let p = &pending[members[w]];
-                    let finish = wave_start + wave_ns + p.retry_extra_ns;
-                    let disposition = if p.device_failed {
-                        Disposition::Failed
-                    } else if p.plan.run.degraded > 0 {
-                        Disposition::Degraded
-                    } else {
-                        Disposition::Completed
-                    };
-                    let record = RequestRecord {
-                        id: p.request.id,
-                        tenant: p.request.tenant,
-                        worker: p.worker,
-                        device,
-                        queue_ns: (p.start_ns - p.request.arrival_ns)
-                            + (wave_start - dispatch_ns - p.ready_ns),
-                        compile: p.compile,
-                        search_ns: p.plan.run.search_ns,
-                        cache_wait_ns: p.plan.run.cache_wait_ns,
-                        device_ns: wave_ns + dispatch_ns + p.retry_extra_ns,
-                        finish_ns: finish,
-                        disposition,
-                        shed_reason: None,
-                        retries: p.retries,
-                        deadline_ns: p.request.deadline_ns,
-                        breaker_event: p.breaker_event,
-                        batch_size: k,
-                    };
-                    meter.charge(p.request.tenant, wave_ns / k as f64);
+            events.sort_by(|a, b| f64::total_cmp(&a.ready_ns, &b.ready_ns).then(a.id.cmp(&b.id)));
+            let flushes = form_batches(&events, batching);
+
+            // Phase B step 3: co-launch waves onto the device pool in
+            // flush order. Bucket members run identical programs, so a
+            // wave of k members is k merged copies of one launch
+            // sequence; its simulated duration is cached per (shape, k).
+            let policy = self.options.tenancy.clone().unwrap_or_default();
+            let capacity = warp_capacity(&self.cluster.machine);
+            let mut meter = FairMeter::new();
+            let mut wave_cache: HashMap<(u64, usize), f64> = HashMap::new();
+            for flush in flushes {
+                let mut members = flush.members;
+                meter.order_by_fairness(&policy, &mut members, |index| {
+                    pending[index].request.tenant
+                });
+                let demands: Vec<u64> = members
+                    .iter()
+                    .map(|&index| plan_demand(&pending[index].plan.ops))
+                    .collect();
+                for wave in plan_waves(&demands, capacity) {
+                    let k = wave.len();
+                    let lead = &pending[members[wave[0]]];
+                    let wave_ns = *wave_cache.entry((flush.shape_key, k)).or_insert_with(|| {
+                        wave_device_ns(&self.cluster.machine, &lead.plan.ops, k)
+                    });
+                    let (device, device_free) = earliest_free(&device_pool);
+                    let wave_start = flush.flush_ns.max(device_free) + dispatch_ns;
+                    device_pool[device] = wave_start + wave_ns;
                     if telemetry.is_enabled() {
-                        emit_request_telemetry(
-                            telemetry,
+                        let registry = telemetry.registry();
+                        registry.counter("serving.waves").inc();
+                        let load: u64 = wave.iter().map(|&w| demands[w]).sum();
+                        registry
+                            .histogram("serving.wave_occupancy_pct", Clock::Virtual)
+                            .record_f64(100.0 * load as f64 / capacity.max(1) as f64);
+                    }
+                    for &w in &wave {
+                        let p = &pending[members[w]];
+                        // Fault backoffs and re-runs are charged to the
+                        // member, not to the shared wave.
+                        let retry_extra_ns = p.total_device_ns - p.plan.run.device_ns;
+                        let record =
+                            p.record(device, wave_start, wave_ns, retry_extra_ns, k, dispatch_ns);
+                        meter.charge(p.request.tenant, wave_ns / k as f64);
+                        settle(
                             p.request,
-                            &record,
-                            &EmitContext {
-                                start: p.start_ns,
-                                exec: Some((p.ready_ns, wave_start)),
-                                dispatch_ns,
-                                tenancy,
-                                batched: true,
-                            },
+                            record,
+                            p.start_ns,
+                            Some((p.ready_ns, wave_start)),
                         );
                     }
-                    records[p.slot] = Some(record);
                 }
             }
         }
 
         let first_arrival = ordered.first().map_or(0.0, |r| r.arrival_ns);
-        let records: Vec<RequestRecord> = records.into_iter().flatten().collect();
-        debug_assert_eq!(records.len(), n, "every request gets exactly one record");
-        self.build_report(records, first_arrival, false)
+        debug_assert_eq!(records.len(), ordered.len(), "one record per request");
+        self.build_report(records, first_arrival, batching.is_none())
+    }
+
+    /// Phase A: every request that passes pre-admission is compiled, in
+    /// parallel across the compile threads, and the verdicts come back in
+    /// `ordered` order. A request that arrived past the drain point or
+    /// after its own deadline is never compiled at all. Without batching
+    /// the replay reads only each plan's [`GraphRun`](crate::GraphRun),
+    /// so the per-op launches are dropped as soon as a request compiles.
+    fn compile_phase(&self, ordered: &[&Request]) -> impl Iterator<Item = Verdict> {
+        let keep_ops = self.options.batching.is_some();
+        // No more threads than cores: time-sliced threads would charge
+        // their descheduled time to the timeline as compile wall-clock.
+        // The virtual worker slots of phase B are unaffected.
+        let threads = std::thread::available_parallelism()
+            .map_or(self.workers, |cores| self.workers.min(cores.get()));
+        let share = ordered.len() / threads + 1;
+        let cursor = &AtomicUsize::new(0);
+        let per_thread: Vec<Vec<(usize, Verdict)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut mine = Vec::with_capacity(share);
+                        loop {
+                            let index = cursor.fetch_add(1, Ordering::SeqCst);
+                            let Some(&request) = ordered.get(index) else {
+                                break mine;
+                            };
+                            let verdict = if self.lifecycle.draining_at(request.arrival_ns) {
+                                Verdict::Shed(ShedReason::Draining)
+                            } else if request.deadline_ns.is_some_and(|d| d <= request.arrival_ns) {
+                                Verdict::Shed(ShedReason::DeadlineAtEnqueue)
+                            } else {
+                                let mut outcome = self.compile_request(request);
+                                if let (false, Some(plan)) = (keep_ops, &mut outcome.plan) {
+                                    plan.ops = Vec::new();
+                                }
+                                Verdict::Compiled(outcome)
+                            };
+                            mine.push((index, verdict));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    // Compiles are panic-isolated; if a worker dies anyway,
+                    // surface the panic rather than losing its requests.
+                    h.join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        });
+        // Each worker's list is in cursor order, so merging the lists
+        // restores arrival order without a second copy of the verdicts.
+        let mut lists: Vec<_> = per_thread.into_iter().map(Vec::into_iter).collect();
+        std::iter::from_fn(move || {
+            let next = lists.iter_mut().min_by_key(|list| {
+                list.as_slice()
+                    .first()
+                    .map_or(usize::MAX, |&(index, _)| index)
+            })?;
+            next.next().map(|(_, verdict)| verdict)
+        })
     }
 
     /// The shared reporting tail: makespan, per-worker accounting, cache
@@ -967,41 +778,10 @@ impl ServingRuntime {
     }
 }
 
-/// Hands out turns in ticket order: real compile work overlaps freely
-/// across threads, but each request's virtual bookkeeping runs alone, in
-/// arrival order, so the timeline is scheduling-independent.
-struct Sequencer {
-    turn: Mutex<usize>,
-    ready: Condvar,
-}
-
-impl Sequencer {
-    fn new() -> Self {
-        Self {
-            turn: Mutex::new(0),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Blocks until it is `ticket`'s turn.
-    fn wait_for(&self, ticket: usize) {
-        let mut turn = self.turn.lock();
-        while *turn != ticket {
-            self.ready.wait(&mut turn);
-        }
-    }
-
-    /// Passes the turn to the next ticket.
-    fn advance(&self) {
-        *self.turn.lock() += 1;
-        self.ready.notify_all();
-    }
-}
-
-/// The index and virtual free time of the earliest-free pool slot.
-/// Panic-free (it runs inside the sequenced section): an empty pool —
-/// excluded by the constructor asserts — would return the infinity
-/// sentinel rather than panicking.
+/// The index and virtual free time of the earliest-free pool slot (the
+/// last one on a tie). Phase B places both workers and devices with it.
+/// An empty pool — excluded by the constructor asserts — yields the
+/// infinity sentinel.
 fn earliest_free(pool: &[f64]) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
     for (slot, &free_at) in pool.iter().enumerate() {

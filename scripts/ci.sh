@@ -97,6 +97,20 @@ echo "==> sim-throughput gate (event core >= 10x reference, floor 14M tasks/s)"
 echo "==> batch-serving gate (batched >= solo under overload + tenant isolation)"
 ./target/release/experiments --quick batch-serving
 
+# The benchmark (perfbench/, its own package outside the workspace): its
+# own tests, then a 1-second run of each workload. Every run gates its
+# outputs — dispositions, cache ledgers, program coverage, numerics
+# against the reference GEMM, clean warm restores — and exits non-zero
+# when a check fails.
+echo "==> benchmark tests (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+for workload in bert-warm shape-storm decode-burst; do
+  echo "==> benchmark smoke: $workload for 1 s (correctness gate)"
+  cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
+
 # Conformance: a bounded differential-fuzz smoke (fixed seed, well under
 # 30 s in release) that replays the regression corpus first, then the
 # cost-model-fidelity gate over the pinned shape corpus. Scale the fuzz
