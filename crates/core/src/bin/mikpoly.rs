@@ -79,7 +79,7 @@ fn main() {
     let machine = match flag_value(&args, "--machine").unwrap_or("a100") {
         "a100" => MachineModel::a100(),
         "h100" => MachineModel::h100(),
-        "910a" | "ascend" | "npu" => MachineModel::ascend910a(),
+        "910a" | "ascend910a" | "ascend" | "npu" => MachineModel::ascend910a(),
         "a100-cc" | "cuda-cores" => MachineModel::a100_cuda_cores(),
         other => usage(&format!("unknown machine '{other}'")),
     };

@@ -267,16 +267,22 @@ impl Engine {
         budget: CompileBudget,
     ) -> Result<EngineRun, MikPolyError> {
         let dispatched = self.select(operator);
-        let compiler = match dispatched {
-            // Winograd's transform-domain GEMMs have plain GEMM access
-            // patterns, so they use the GEMM-template library.
-            Operator::Conv2d { .. } => &self.conv,
-            _ => &self.gemm,
-        };
         Ok(EngineRun {
             dispatched,
-            run: compiler.try_run(&dispatched, budget)?,
+            run: self
+                .compiler_for(&dispatched)
+                .try_run(&dispatched, budget)?,
         })
+    }
+
+    /// The template compiler that owns `dispatched`. Winograd's
+    /// transform-domain GEMMs have plain GEMM access patterns, so they use
+    /// the GEMM-template library.
+    fn compiler_for(&self, dispatched: &Operator) -> &MikPoly {
+        match dispatched {
+            Operator::Conv2d { .. } => &self.conv,
+            _ => &self.gemm,
+        }
     }
 
     /// Runs a weighted operator list (one forward pass): each `(operator,
@@ -291,7 +297,10 @@ impl Engine {
 
     /// Budgeted [`Engine::run_graph`]: every operator's compile shares the
     /// one `budget` (the per-request deadline bounds the whole request,
-    /// not each operator separately).
+    /// not each operator separately). Each cached program is simulated
+    /// once, at its first execution; later requests read its solo device
+    /// time from the program cache entry (see [`MikPoly::try_run`] for the
+    /// unmemoized full report).
     ///
     /// # Errors
     ///
@@ -303,7 +312,7 @@ impl Engine {
         ops: impl IntoIterator<Item = (&'a Operator, usize)>,
         budget: CompileBudget,
     ) -> Result<GraphRun, MikPolyError> {
-        Ok(self.try_plan_graph(ops, budget)?.run)
+        self.try_graph(ops, budget, |_, _, _, _| {})
     }
 
     /// Like [`Engine::try_run_graph`], but also retains each operator's
@@ -318,29 +327,49 @@ impl Engine {
         ops: impl IntoIterator<Item = (&'a Operator, usize)>,
         budget: CompileBudget,
     ) -> Result<GraphPlan, MikPolyError> {
-        let mut out = GraphPlan::default();
+        let mut plans = Vec::new();
+        let run = self.try_graph(ops, budget, |compiler, program, count, solo_ns| {
+            plans.push(OpPlan {
+                launch: compiler.launch_for(program),
+                reduction: program.reduction_launch(),
+                count,
+                solo_ns,
+            });
+        })?;
+        Ok(GraphPlan { run, ops: plans })
+    }
+
+    /// The loop behind [`Engine::try_run_graph`] and
+    /// [`Engine::try_plan_graph`]: compiles each operator, reads its solo
+    /// device time (memoized per cached program), accumulates the
+    /// [`GraphRun`], and hands each operator's program to `each_op`.
+    fn try_graph<'a>(
+        &self,
+        ops: impl IntoIterator<Item = (&'a Operator, usize)>,
+        budget: CompileBudget,
+        mut each_op: impl FnMut(&MikPoly, &crate::plan::CompiledProgram, usize, f64),
+    ) -> Result<GraphRun, MikPolyError> {
+        let mut out = GraphRun::default();
         for (op, count) in ops {
-            let result = self.try_run_operator(op, budget)?;
-            out.run.device_ns += result.run.report.time_ns * count as f64;
-            out.run.compile_ns += result.run.compile_ns;
-            match result.run.outcome {
+            let dispatched = self.select(op);
+            let compiler = self.compiler_for(&dispatched);
+            let (reply, compile_ns) = compiler.try_compile_timed(&dispatched, budget)?;
+            let solo_ns = compiler.try_solo_ns(&reply)?;
+            out.device_ns += solo_ns * count as f64;
+            out.compile_ns += compile_ns;
+            match reply.outcome {
                 CacheOutcome::Hit => {}
                 CacheOutcome::Computed => {
-                    out.run.compilations += 1;
-                    out.run.search_ns += result.run.program.stats.search_ns;
+                    out.compilations += 1;
+                    out.search_ns += reply.program.stats.search_ns;
                 }
-                CacheOutcome::Waited => out.run.cache_wait_ns += result.run.compile_ns,
+                CacheOutcome::Waited => out.cache_wait_ns += compile_ns,
             }
-            if result.run.grade == CompileGrade::Degraded {
-                out.run.degraded += 1;
+            if reply.grade == CompileGrade::Degraded {
+                out.degraded += 1;
             }
-            out.run.executions += count;
-            out.ops.push(OpPlan {
-                launch: self.launch_for(&result.run.program),
-                reduction: result.run.program.reduction_launch(),
-                count,
-                solo_ns: result.run.report.time_ns,
-            });
+            out.executions += count;
+            each_op(compiler, &reply.program, count, solo_ns);
         }
         Ok(out)
     }
@@ -349,10 +378,7 @@ impl Engine {
     /// template compiler that owns its placement policy (mirrors
     /// [`Engine::simulate`]).
     pub fn launch_for(&self, program: &crate::plan::CompiledProgram) -> accel_sim::Launch {
-        match program.operator {
-            Operator::Conv2d { .. } => self.conv.launch_for(program),
-            _ => self.gemm.launch_for(program),
-        }
+        self.compiler_for(&program.operator).launch_for(program)
     }
 
     /// Installs (or clears) the fault-injection schedule on both template
@@ -364,10 +390,7 @@ impl Engine {
 
     /// Simulates a previously compiled program on this engine's machine.
     pub fn simulate(&self, program: &crate::plan::CompiledProgram) -> SimReport {
-        match program.operator {
-            Operator::Conv2d { .. } => self.conv.simulate(program),
-            _ => self.gemm.simulate(program),
-        }
+        self.compiler_for(&program.operator).simulate(program)
     }
 
     /// Persists both template compilers' program caches under `dir`

@@ -30,7 +30,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use accel_sim::{Cluster, FaultPlan};
-use mikpoly_telemetry::{Clock, ClockNs, Telemetry};
+use mikpoly_telemetry::span::current_thread_lane;
+use mikpoly_telemetry::{Clock, ClockNs, Lane, SpanRecord, Telemetry};
 
 use super::admission::{FairMeter, TenantPolicy, WaitQueue};
 use super::batching::{form_batches, BatchingOptions, ReadyEvent};
@@ -76,8 +77,9 @@ pub struct ServingOptions {
 
 /// What the parallel (pre-dispatch) compile phase produced.
 struct CompileOutcome {
-    /// The compiled forward pass with its retained launches; `None` when
-    /// both the full path and the degraded fallback failed.
+    /// The compiled forward pass, with its per-op launches retained only
+    /// under batching; `None` when both the full path and the degraded
+    /// fallback failed.
     plan: Option<GraphPlan>,
     /// Real wall-clock of the whole compile phase, ns (the graph's own
     /// measurement on the clean path; the measured window including the
@@ -334,10 +336,21 @@ impl ServingRuntime {
                 .map(|limit| compile_start + limit),
             degrade_only,
         };
+        // Only co-launch waves read the per-op launches; a solo replay
+        // reads just the aggregate run, so it never builds them.
+        let keep_ops = self.options.batching.is_some();
         let run = |budget: CompileBudget| {
             catch_unwind(AssertUnwindSafe(|| {
-                self.engine
-                    .try_plan_graph(request.ops.iter().map(|(op, count)| (op, *count)), budget)
+                let ops = request.ops.iter().map(|(op, count)| (op, *count));
+                if keep_ops {
+                    self.engine.try_plan_graph(ops, budget)
+                } else {
+                    let run = self.engine.try_run_graph(ops, budget)?;
+                    Ok(GraphPlan {
+                        run,
+                        ops: Vec::new(),
+                    })
+                }
             }))
         };
         // Breaker transitions are recorded onto the request's chain: a
@@ -419,7 +432,14 @@ impl ServingRuntime {
     /// worker placement in arrival order, then device placement — straight
     /// onto the earliest-free device (solo), or through shape buckets and
     /// co-launch waves when [`ServingOptions::batching`] is set.
+    ///
+    /// With telemetry enabled, the two phases are recorded as the
+    /// real-clock host spans `serving.compile_phase` (arrival ordering
+    /// plus phase A) and `serving.replay` (phase B plus the report), which
+    /// together cover the whole call.
     pub fn serve(&self, requests: &[Request]) -> ServingReport {
+        let telemetry = &self.telemetry;
+        let phase_start = telemetry.is_enabled().then(|| telemetry.now_ns());
         if let Some(plan) = &self.options.fault_plan {
             self.engine.set_fault_plan(Some(Arc::clone(plan)));
         }
@@ -427,6 +447,7 @@ impl ServingRuntime {
         let mut ordered: Vec<&Request> = requests.iter().collect();
         ordered.sort_by(|a, b| f64::total_cmp(&a.arrival_ns, &b.arrival_ns));
         let verdicts = self.compile_phase(&ordered);
+        let replay_start = phase_start.map(|_| telemetry.now_ns());
 
         // Dispatch over the interconnect only when the pool is remote.
         let dispatch_ns = if self.cluster.devices > 1 {
@@ -434,7 +455,6 @@ impl ServingRuntime {
         } else {
             0.0
         };
-        let telemetry = &self.telemetry;
         let tenancy = self.tenancy();
         let mut records: Vec<RequestRecord> = Vec::with_capacity(ordered.len());
         // Files a request's one record and emits its telemetry.
@@ -639,7 +659,26 @@ impl ServingRuntime {
 
         let first_arrival = ordered.first().map_or(0.0, |r| r.arrival_ns);
         debug_assert_eq!(records.len(), ordered.len(), "one record per request");
-        self.build_report(records, first_arrival, batching.is_none())
+        let report = self.build_report(records, first_arrival, batching.is_none());
+        if let (Some(start), Some(replay)) = (phase_start, replay_start) {
+            // Recorded last, so the replay's many timeline spans cannot
+            // push them out of the bounded span ring.
+            let lane = Lane::HostThread(current_thread_lane());
+            let end = telemetry.now_ns();
+            telemetry.record_span(SpanRecord::complete(
+                "serving.compile_phase",
+                lane,
+                start,
+                replay - start,
+            ));
+            telemetry.record_span(SpanRecord::complete(
+                "serving.replay",
+                lane,
+                replay,
+                end - replay,
+            ));
+        }
+        report
     }
 
     /// Phase A: every request that passes pre-admission is compiled, in
@@ -647,9 +686,8 @@ impl ServingRuntime {
     /// `ordered` order. A request that arrived past the drain point or
     /// after its own deadline is never compiled at all. Without batching
     /// the replay reads only each plan's [`GraphRun`](crate::GraphRun),
-    /// so the per-op launches are dropped as soon as a request compiles.
+    /// so [`ServingRuntime::compile_request`] builds no per-op launches.
     fn compile_phase(&self, ordered: &[&Request]) -> impl Iterator<Item = Verdict> {
-        let keep_ops = self.options.batching.is_some();
         // No more threads than cores: time-sliced threads would charge
         // their descheduled time to the timeline as compile wall-clock.
         // The virtual worker slots of phase B are unaffected.
@@ -672,11 +710,7 @@ impl ServingRuntime {
                             } else if request.deadline_ns.is_some_and(|d| d <= request.arrival_ns) {
                                 Verdict::Shed(ShedReason::DeadlineAtEnqueue)
                             } else {
-                                let mut outcome = self.compile_request(request);
-                                if let (false, Some(plan)) = (keep_ops, &mut outcome.plan) {
-                                    plan.ops = Vec::new();
-                                }
-                                Verdict::Compiled(outcome)
+                                Verdict::Compiled(self.compile_request(request))
                             };
                             mine.push((index, verdict));
                         }

@@ -37,6 +37,21 @@ grep -q "^cache_hits " "$smoke_dir/metrics.txt" || {
   exit 1
 }
 
+# Phase-span smoke on the static-placement path: a 2,000-request serve on
+# the Ascend 910A model simulates each cached program once and then reads
+# its memoized solo time. Its trace must carry both host phase spans of
+# `serve`. No host-time floor: shared CI hosts swing too far for one.
+echo "==> phase-span smoke: mikpoly serve --machine ascend910a (2000 requests)"
+./target/release/mikpoly serve --machine ascend910a --requests 2000 --workers 2 \
+  --trace-out "$smoke_dir/trace-910a.json"
+./target/release/mikpoly trace-stats "$smoke_dir/trace-910a.json" > "$smoke_dir/trace-910a.txt"
+for phase in serving.compile_phase serving.replay; do
+  grep -q " $phase " "$smoke_dir/trace-910a.txt" || {
+    echo "error: serve trace is missing the $phase span" >&2
+    exit 1
+  }
+done
+
 # Observability smoke: a deadline-starved serve must trip the SLO
 # engine and auto-dump the flight-recorder blackbox, and the health
 # subcommand must emit a JSON snapshot it has already self-validated

@@ -2,13 +2,17 @@
 //! trace-event file that parses as JSON, carries the
 //! queue/compile(search, cache-wait)/device phase spans for every request
 //! with correct nesting and lane placement, and a metrics snapshot whose
-//! cache counters exactly mirror [`mikpoly::CacheStats`].
+//! cache counters exactly mirror [`mikpoly::CacheStats`]. The two host
+//! phase spans of `ServingRuntime::serve` account for its wall time.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use mikpoly_suite::accel_sim::{Cluster, Interconnect, MachineModel};
 use mikpoly_suite::mikpoly::serving::poisson_arrivals;
-use mikpoly_suite::mikpoly::{Engine, OfflineOptions, Request, ServingRuntime};
+use mikpoly_suite::mikpoly::{
+    BatchingOptions, Engine, OfflineOptions, Request, ServingOptions, ServingRuntime,
+};
 use mikpoly_suite::models::TransformerConfig;
 use mikpoly_suite::telemetry::Telemetry;
 
@@ -264,5 +268,72 @@ fn chrome_trace_spans_nest_strictly_per_lane() {
             }
             stack.push((start, end));
         }
+    }
+}
+
+/// With telemetry on, `serving.compile_phase` and `serving.replay` are
+/// recorded once per serve, back to back on the serving thread, and
+/// together cover at least 95% of the call's wall time — cold (phase A
+/// polymerizes) and warm (every program cached), solo and batched.
+#[test]
+fn serve_phase_spans_cover_the_serve_wall_time() {
+    let mut options = OfflineOptions::fast();
+    options.n_gen = 4;
+    let telemetry = Telemetry::enabled();
+    let engine = Arc::new(Engine::offline_with_telemetry(
+        MachineModel::a100(),
+        &options,
+        Arc::clone(&telemetry),
+    ));
+    let bert = TransformerConfig::bert_base();
+    let requests: Vec<Request> = poisson_arrivals(200, 20_000.0, 5)
+        .into_iter()
+        .enumerate()
+        .map(|(id, arrival_ns)| Request {
+            id,
+            arrival_ns,
+            ops: bert
+                .graph(1, 16 * (1 + id % 6))
+                .ops
+                .iter()
+                .map(|op| (op.operator, op.count))
+                .collect(),
+            deadline_ns: None,
+            tenant: 0,
+        })
+        .collect();
+    for (round, batching) in [
+        ("cold solo", None),
+        ("warm solo", None),
+        ("warm batched", Some(BatchingOptions::new(20_000.0, 4))),
+    ] {
+        let cluster = Cluster::new(MachineModel::a100(), 2, Interconnect::nvlink3());
+        let runtime =
+            ServingRuntime::new(Arc::clone(&engine), cluster, 2).with_options(ServingOptions {
+                batching,
+                ..ServingOptions::default()
+            });
+        telemetry.drain_spans();
+        let start = Instant::now();
+        runtime.serve(&requests);
+        let wall_ns = start.elapsed().as_nanos() as f64;
+        let spans = telemetry.drain_spans();
+        let phase = |name: &str| {
+            let found: Vec<_> = spans.iter().filter(|s| s.name == name).collect();
+            assert_eq!(found.len(), 1, "{round}: one {name} span per serve");
+            (found[0].start_ns, found[0].dur_ns)
+        };
+        let (compile_start, compile_ns) = phase("serving.compile_phase");
+        let (replay_start, replay_ns) = phase("serving.replay");
+        assert_eq!(
+            replay_start,
+            compile_start + compile_ns,
+            "{round}: back to back"
+        );
+        let covered = compile_ns + replay_ns;
+        assert!(
+            covered <= wall_ns && covered >= 0.95 * wall_ns,
+            "{round}: phase spans cover {covered} ns of a {wall_ns} ns serve"
+        );
     }
 }
