@@ -1,5 +1,5 @@
-//! Sharded, read-mostly program cache with lock-free hits, single-flight
-//! fills, and a segmented-LRU capacity bound.
+//! Sharded, read-mostly program cache with single-flight fills and a
+//! segmented-LRU capacity bound.
 //!
 //! The online stage is on the request path: under concurrent serving, a
 //! single `Mutex<HashMap>` serializes every lookup, and the naive
@@ -7,16 +7,12 @@
 //! all run the (micro- to millisecond) polymerization, N−1 of them
 //! wasted — a classic cache stampede. This cache fixes both:
 //!
-//! * **Lock-free hits** — each shard publishes an immutable
-//!   [`Arc`]`<HashMap>` snapshot stamped with a generation counter.
-//!   Readers keep a thread-local copy of the snapshot and revalidate it
-//!   with a single atomic generation load per lookup; a steady-state hit
-//!   therefore touches *no lock* and performs *no shared writes* beyond
-//!   the returned `Arc`'s refcount and a striped hit counter. Writers
-//!   mutate copy-on-write under a per-shard mutex and publish a new
-//!   snapshot + generation, so they never block readers (readers at worst
-//!   serve one generation stale, which a concurrent lookup is always
-//!   allowed to do).
+//! * **Sharded in-place maps** — keys hash onto [`DEFAULT_SHARDS`]
+//!   shards, each a `RwLock<HashMap>` on its own pair of cache lines. A
+//!   hit takes its shard's read lock; a miss, fill, insert, remove or
+//!   eviction is one O(1) map operation under the write lock. No
+//!   computation and no value drop runs under a shard lock, so the lock
+//!   is held only for the map operation itself.
 //! * **Single flight** — a miss installs an in-flight slot before
 //!   computing. Concurrent misses on the same key find the slot and block
 //!   on its condvar instead of re-running the computation; exactly one
@@ -52,24 +48,20 @@
 // Online hot path: failures must surface as typed errors, not panics.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use std::any::Any;
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 
-/// Default shard count: enough to make cross-shard collisions rare at
-/// serving-realistic thread counts, small enough to stay cheap to snapshot.
+/// Default shard count: enough to make cross-shard lock collisions rare
+/// at serving-realistic thread counts, small enough that the padded
+/// shards (128 bytes each) and the full scans of `len` stay cheap.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Stripes of the hot hit counter (each on its own cache line).
 const HIT_STRIPES: usize = 8;
-
-/// Thread-local read-snapshot slots (direct-mapped by cache id + shard).
-const TLS_SLOTS: usize = 256;
 
 /// Frequencies saturate here; far beyond any promotion threshold.
 const FREQ_CEILING: u32 = 1 << 20;
@@ -205,10 +197,9 @@ enum FlightState<V> {
     Abandoned,
 }
 
-/// Identity and hotness of one ready entry. Shared (via `Arc`) by every
-/// published snapshot holding the entry and by the eviction queues, so a
-/// hit recorded against a one-generation-stale snapshot still lands on
-/// the live entry's frequency.
+/// Identity and hotness of one ready entry. Shared (via `Arc`) by the
+/// shard map and the eviction state, so the eviction scan reads the
+/// frequency that hits record without taking a shard lock.
 struct EntryMeta {
     /// Fill stamp: globally unique per (key, fill). Eviction-queue records
     /// carry the stamp they were enqueued with, which is how a record left
@@ -226,27 +217,9 @@ struct ReadyEntry<V> {
     meta: Arc<EntryMeta>,
 }
 
-impl<V> Clone for ReadyEntry<V> {
-    fn clone(&self) -> Self {
-        Self {
-            value: Arc::clone(&self.value),
-            meta: Arc::clone(&self.meta),
-        }
-    }
-}
-
 enum Slot<V> {
     Ready(ReadyEntry<V>),
     InFlight(Arc<Flight<V>>),
-}
-
-impl<V> Clone for Slot<V> {
-    fn clone(&self) -> Self {
-        match self {
-            Slot::Ready(e) => Slot::Ready(e.clone()),
-            Slot::InFlight(f) => Slot::InFlight(Arc::clone(f)),
-        }
-    }
 }
 
 /// One cache-line-padded counter cell.
@@ -309,38 +282,29 @@ impl Counters {
     }
 }
 
-/// One shard: a published immutable snapshot plus its generation.
-///
-/// Readers revalidate their thread-local snapshot against `gen` with one
-/// atomic load; writers rebuild the map copy-on-write under `map`'s mutex
-/// and bump `gen` before releasing it, so a reader that observes the new
-/// generation and takes the mutex to refresh is guaranteed the new
-/// snapshot (mutex acquire/release ordering), and a reader that observes
-/// the old generation serves at most one generation stale.
-struct Shard<K, V> {
-    gen: AtomicU64,
-    map: Mutex<Arc<HashMap<K, Slot<V>>>>,
+thread_local! {
+    /// This thread's hit-counter stripe, handed out round-robin.
+    static HIT_STRIPE: usize = {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    };
 }
 
-impl<K: Eq + Hash + Clone, V> Shard<K, V> {
-    fn new() -> Self {
-        Self {
-            gen: AtomicU64::new(0),
-            map: Mutex::new(Arc::new(HashMap::new())),
-        }
-    }
+/// One shard's map, mutated in place under its reader–writer lock.
+///
+/// Aligned to 128 bytes so no two shards' lock words share a cache line
+/// (or the adjacent line the hardware prefetches with it): readers of
+/// neighbouring shards then never contend on one line.
+#[repr(align(128))]
+struct Shard<K, V> {
+    map: RwLock<HashMap<K, Slot<V>>>,
+}
 
-    /// Rebuilds the shard map copy-on-write and publishes the result.
-    /// The generation bump happens while the writer mutex is still held,
-    /// which is what makes the readers' revalidate-then-refresh safe.
-    fn mutate<R>(&self, f: impl FnOnce(&mut HashMap<K, Slot<V>>) -> R) -> R {
-        let mut guard = self.map.lock();
-        let mut next: HashMap<K, Slot<V>> = (**guard).clone();
-        let out = f(&mut next);
-        *guard = Arc::new(next);
-        self.gen.fetch_add(1, Ordering::Release);
-        out
-    }
+/// What a lookup found: a ready value (already counted as a hit) or a
+/// flight to await.
+enum Found<V> {
+    Ready(Arc<V>),
+    InFlight(Arc<Flight<V>>),
 }
 
 /// One eviction-order record: the key plus the fill stamp it was enqueued
@@ -391,89 +355,6 @@ impl<K: Eq + Hash + Clone> EvictionState<K> {
     }
 }
 
-/// Thread-local cache of published shard snapshots, keyed by (cache id,
-/// shard index) into a direct-mapped table. The `Arc<dyn Any>` erases the
-/// key/value types so one `thread_local!` serves every `ShardedCache`
-/// instantiation; the (globally unique) cache id makes a type confusion
-/// impossible, and a mismatched slot simply refreshes.
-struct TlsSlot {
-    /// Owning cache id; 0 = empty (ids start at 1).
-    cache: u64,
-    shard: u32,
-    gen: u64,
-    map: Option<Arc<dyn Any + Send + Sync>>,
-}
-
-struct ReadCache {
-    slots: Vec<TlsSlot>,
-    /// This thread's hit-counter stripe.
-    stripe: usize,
-}
-
-static STRIPE_SEQ: AtomicUsize = AtomicUsize::new(0);
-static CACHE_IDS: AtomicU64 = AtomicU64::new(1);
-
-impl ReadCache {
-    fn new() -> Self {
-        Self {
-            slots: (0..TLS_SLOTS)
-                .map(|_| TlsSlot {
-                    cache: 0,
-                    shard: 0,
-                    gen: 0,
-                    map: None,
-                })
-                .collect(),
-            stripe: STRIPE_SEQ.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
-    #[inline]
-    fn index(cache: u64, shard: u32) -> usize {
-        (cache as usize)
-            .wrapping_mul(31)
-            .wrapping_add(shard as usize)
-            & (TLS_SLOTS - 1)
-    }
-
-    /// The current snapshot of `shard`, refreshed (under the shard's
-    /// writer mutex, briefly) only when the generation moved or the slot
-    /// belongs to another cache.
-    fn current<K, V>(
-        &mut self,
-        cache: u64,
-        shard_idx: u32,
-        shard: &Shard<K, V>,
-    ) -> &Arc<dyn Any + Send + Sync>
-    where
-        K: Eq + Hash + Clone + Send + Sync + 'static,
-        V: Send + Sync + 'static,
-    {
-        let slot = &mut self.slots[Self::index(cache, shard_idx)];
-        let gen = shard.gen.load(Ordering::Acquire);
-        let fresh =
-            slot.cache == cache && slot.shard == shard_idx && slot.gen == gen && slot.map.is_some();
-        if !fresh {
-            let guard = shard.map.lock();
-            // Re-read under the mutex: writers bump `gen` while holding
-            // it, so this pairing is exact.
-            slot.gen = shard.gen.load(Ordering::Acquire);
-            slot.map = Some(Arc::clone(&*guard) as Arc<dyn Any + Send + Sync>);
-            slot.cache = cache;
-            slot.shard = shard_idx;
-        }
-        match &slot.map {
-            Some(map) => map,
-            // `fresh` requires `map.is_some()`; the refresh stores one.
-            None => unreachable!("refreshed TLS slot holds a snapshot"),
-        }
-    }
-}
-
-thread_local! {
-    static READ_CACHE: RefCell<ReadCache> = RefCell::new(ReadCache::new());
-}
-
 /// Removes the in-flight slot and wakes waiters if the computation never
 /// completed (i.e. the closure panicked). Removal is identity-checked: if
 /// something else (a direct insert) already replaced the slot, it is left
@@ -487,24 +368,22 @@ struct FlightGuard<'a, K: Eq + Hash + Clone, V> {
 impl<K: Eq + Hash + Clone, V> Drop for FlightGuard<'_, K, V> {
     fn drop(&mut self) {
         if let Some(key) = self.key.take() {
-            self.shard.mutate(|map| {
-                if let Some(Slot::InFlight(f)) = map.get(&key) {
-                    if Arc::ptr_eq(f, &self.flight) {
-                        map.remove(&key);
-                    }
+            {
+                let mut map = self.shard.map.write();
+                if matches!(map.get(&key), Some(Slot::InFlight(f)) if Arc::ptr_eq(f, &self.flight))
+                {
+                    map.remove(&key);
                 }
-            });
+            }
             *self.flight.state.lock() = FlightState::Abandoned;
             self.flight.ready.notify_all();
         }
     }
 }
 
-/// A sharded map from keys to `Arc`'d values with lock-free hits,
+/// A sharded map from keys to `Arc`'d values with read-locked hits,
 /// single-flight fills, and an optional segmented-LRU capacity bound.
 pub struct ShardedCache<K, V> {
-    /// Globally unique instance id (keys the thread-local snapshots).
-    id: u64,
     shards: Vec<Shard<K, V>>,
     counters: Counters,
     /// Maximum ready entries; `None` means unbounded (no order tracking).
@@ -545,8 +424,11 @@ where
     fn with_shards_and_capacity(shards: usize, capacity: Option<usize>) -> Self {
         assert!(shards > 0, "cache needs at least one shard");
         Self {
-            id: CACHE_IDS.fetch_add(1, Ordering::Relaxed),
-            shards: (0..shards).map(|_| Shard::new()).collect(),
+            shards: (0..shards)
+                .map(|_| Shard {
+                    map: RwLock::new(HashMap::new()),
+                })
+                .collect(),
             counters: Counters::new(),
             capacity,
             eviction: Mutex::new(EvictionState::new()),
@@ -568,32 +450,22 @@ where
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    /// The lock-free read path: looks `key` up in this thread's cached
-    /// snapshot of its shard, refreshing the snapshot only when the
-    /// shard's generation moved. Returns the slot (cloned `Arc`s) and the
-    /// thread's hit-counter stripe.
-    fn read_slot(&self, key: &K) -> (Option<Slot<V>>, usize) {
-        let idx = self.shard_index(key);
-        let shard = &self.shards[idx];
-        let looked = READ_CACHE.try_with(|rc| {
-            let mut rc = rc.borrow_mut();
-            let stripe = rc.stripe;
-            let snapshot = rc.current(self.id, idx as u32, shard);
-            let found = snapshot
-                .downcast_ref::<HashMap<K, Slot<V>>>()
-                .and_then(|map| map.get(key))
-                .cloned();
-            (found, stripe)
-        });
-        match looked {
-            Ok(found) => found,
-            // Thread-local storage is gone (thread teardown): fall back
-            // to a brief lock on the published snapshot.
-            Err(_) => (self.shard(key).map.lock().get(key).cloned(), 0),
+    /// Looks `key` up in a locked shard map, counting a ready entry as a
+    /// hit. Callers pass the guard as a temporary, so the lock is released
+    /// before they act on the result (awaiting a flight in particular).
+    fn find(&self, map: &HashMap<K, Slot<V>>, key: &K) -> Option<Found<V>> {
+        match map.get(key)? {
+            Slot::Ready(e) => {
+                self.note_hit(&e.meta);
+                Some(Found::Ready(Arc::clone(&e.value)))
+            }
+            Slot::InFlight(f) => Some(Found::InFlight(Arc::clone(f))),
         }
     }
 
-    fn note_hit(&self, meta: &EntryMeta, stripe: usize) {
+    fn note_hit(&self, meta: &EntryMeta) {
+        // Thread-local storage is gone only during thread teardown.
+        let stripe = HIT_STRIPE.try_with(|s| *s).unwrap_or(0);
         self.counters.hits.add(stripe, 1);
         if self.capacity.is_some() && meta.freq.load(Ordering::Relaxed) < FREQ_CEILING {
             meta.freq.fetch_add(1, Ordering::Relaxed);
@@ -610,13 +482,24 @@ where
         }
     }
 
+    /// Installs a ready entry for `key` and counts it in `ready` unless it
+    /// replaced one. Returns the entry's metadata for the eviction state.
+    fn commit(&self, shard: &Shard<K, V>, key: &K, value: Arc<V>) -> Arc<EntryMeta> {
+        let entry = self.new_entry(value);
+        let meta = Arc::clone(&entry.meta);
+        // Bound outside the guard's statement, so a replaced value is
+        // dropped after the write lock is released.
+        let replaced = shard.map.write().insert(key.clone(), Slot::Ready(entry));
+        if !matches!(replaced, Some(Slot::Ready(_))) {
+            self.counters.ready.fetch_add(1, Ordering::Relaxed);
+        }
+        meta
+    }
+
     /// Looks `key` up without filling; counts as a hit when present.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        match self.read_slot(key) {
-            (Some(Slot::Ready(e)), stripe) => {
-                self.note_hit(&e.meta, stripe);
-                Some(e.value)
-            }
+        match self.find(&self.shard(key).map.read(), key) {
+            Some(Found::Ready(v)) => Some(v),
             _ => None,
         }
     }
@@ -642,37 +525,28 @@ where
         key: &K,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(Arc<V>, CacheOutcome), E> {
-        // Fast path: no lock. A ready hit returns directly; a visible
-        // in-flight slot is awaited without ever taking the shard mutex.
-        match self.read_slot(key) {
-            (Some(Slot::Ready(e)), stripe) => {
-                self.note_hit(&e.meta, stripe);
-                return Ok((e.value, CacheOutcome::Hit));
-            }
-            (Some(Slot::InFlight(flight)), _) => {
+        let shard = self.shard(key);
+        // Fast path under the read lock: a ready hit returns directly; a
+        // visible in-flight slot is awaited after the lock is released.
+        let found = self.find(&shard.map.read(), key);
+        match found {
+            Some(Found::Ready(v)) => return Ok((v, CacheOutcome::Hit)),
+            Some(Found::InFlight(flight)) => {
                 if let Some(v) = self.await_flight(&flight) {
                     return Ok((v, CacheOutcome::Waited));
                 }
                 // Abandoned: fall through and contend for the takeover.
             }
-            (None, _) => {}
+            None => {}
         }
-        let shard = self.shard(key);
         loop {
-            // Decide this thread's role against the canonical map, under
-            // the shard's writer mutex…
+            // Decide this thread's role under the shard's write lock…
             let flight = {
-                let mut guard = shard.map.lock();
-                match guard.get(key) {
-                    Some(Slot::Ready(e)) => {
-                        let e = e.clone();
-                        drop(guard);
-                        self.note_hit(&e.meta, 0);
-                        return Ok((e.value, CacheOutcome::Hit));
-                    }
-                    Some(Slot::InFlight(flight)) => {
-                        let flight = Arc::clone(flight);
-                        drop(guard);
+                let mut map = shard.map.write();
+                match self.find(&map, key) {
+                    Some(Found::Ready(v)) => return Ok((v, CacheOutcome::Hit)),
+                    Some(Found::InFlight(flight)) => {
+                        drop(map);
                         match self.await_flight(&flight) {
                             Some(v) => return Ok((v, CacheOutcome::Waited)),
                             // Computing thread panicked or failed: retry
@@ -686,10 +560,7 @@ where
                             state: Mutex::new(FlightState::Pending),
                             ready: Condvar::new(),
                         });
-                        let mut next: HashMap<K, Slot<V>> = (**guard).clone();
-                        next.insert(key.clone(), Slot::InFlight(Arc::clone(&flight)));
-                        *guard = Arc::new(next);
-                        shard.gen.fetch_add(1, Ordering::Release);
+                        map.insert(key.clone(), Slot::InFlight(Arc::clone(&flight)));
                         flight
                     }
                 }
@@ -704,20 +575,11 @@ where
             };
             let value = Arc::new(compute()?);
             guard.key = None; // disarm: the fill is committing
-            let entry = self.new_entry(Arc::clone(&value));
-            let replaced_ready = shard.mutate(|map| {
-                matches!(
-                    map.insert(key.clone(), Slot::Ready(entry.clone())),
-                    Some(Slot::Ready(_))
-                )
-            });
-            if !replaced_ready {
-                self.counters.ready.fetch_add(1, Ordering::Relaxed);
-            }
+            let meta = self.commit(shard, key, Arc::clone(&value));
             *flight.state.lock() = FlightState::Done(Arc::clone(&value));
             flight.ready.notify_all();
             self.counters.computations.fetch_add(1, Ordering::Relaxed);
-            self.register_fill(key, &entry);
+            self.register_fill(key, &meta);
             return Ok((value, CacheOutcome::Computed));
         }
     }
@@ -727,17 +589,14 @@ where
     /// slot is left alone: its leader still owns the fill and its waiters
     /// its condvar.
     pub fn remove(&self, key: &K) -> bool {
-        let removed = self.shard(key).mutate(|map| {
-            if matches!(map.get(key), Some(Slot::Ready(_))) {
-                match map.remove(key) {
-                    Some(Slot::Ready(e)) => Some(e),
-                    _ => None,
-                }
-            } else {
-                None
+        let removed = {
+            let mut map = self.shard(key).map.write();
+            match map.get(key) {
+                Some(Slot::Ready(_)) => map.remove(key),
+                _ => None,
             }
-        });
-        let Some(entry) = removed else {
+        };
+        let Some(Slot::Ready(entry)) = removed else {
             return false;
         };
         self.counters.ready.fetch_sub(1, Ordering::Relaxed);
@@ -778,23 +637,13 @@ where
     /// Inserts a ready value, replacing any previous entry.
     pub fn insert(&self, key: K, value: Arc<V>) {
         self.counters.direct_inserts.fetch_add(1, Ordering::Relaxed);
-        let entry = self.new_entry(value);
-        let replaced_ready = self.shard(&key).mutate(|map| {
-            matches!(
-                map.insert(key.clone(), Slot::Ready(entry.clone())),
-                Some(Slot::Ready(_))
-            )
-        });
-        if !replaced_ready {
-            self.counters.ready.fetch_add(1, Ordering::Relaxed);
-        }
-        self.register_fill(&key, &entry);
+        let meta = self.commit(self.shard(&key), &key, value);
+        self.register_fill(&key, &meta);
     }
 
     /// Bulk [`ShardedCache::insert`]: groups the batch by shard so each
-    /// shard republishes its snapshot **once** instead of once per entry
-    /// — this is what makes warm restarts from a large ahead-of-time
-    /// bundle O(n) instead of O(n · shard size).
+    /// shard's write lock is taken **once** for all of its entries, and
+    /// the eviction state is updated once for the whole batch.
     pub fn insert_many(&self, entries: impl IntoIterator<Item = (K, Arc<V>)>) {
         let mut by_shard: Vec<Vec<(K, ReadyEntry<V>)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
@@ -808,34 +657,32 @@ where
             return;
         }
         self.counters.direct_inserts.fetch_add(n, Ordering::Relaxed);
-        let mut registered: Vec<(K, ReadyEntry<V>)> = Vec::new();
+        let mut registered: Vec<(K, Arc<EntryMeta>)> = Vec::new();
         for (idx, batch) in by_shard.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }
-            let added = self.shards[idx].mutate(|map| {
-                let mut added = 0usize;
-                for (key, entry) in &batch {
-                    if !matches!(
-                        map.insert(key.clone(), Slot::Ready(entry.clone())),
-                        Some(Slot::Ready(_))
-                    ) {
-                        added += 1;
-                    }
+            let mut added = 0usize;
+            let mut map = self.shards[idx].map.write();
+            for (key, entry) in batch {
+                if self.capacity.is_some() {
+                    registered.push((key.clone(), Arc::clone(&entry.meta)));
                 }
-                added
-            });
+                if !matches!(map.insert(key, Slot::Ready(entry)), Some(Slot::Ready(_))) {
+                    added += 1;
+                }
+            }
+            drop(map);
             self.counters.ready.fetch_add(added, Ordering::Relaxed);
-            registered.extend(batch);
         }
         if let Some(capacity) = self.capacity {
             let mut ev = self.eviction.lock();
-            for (key, entry) in &registered {
-                ev.live.insert(key.clone(), Arc::clone(&entry.meta));
+            for (key, meta) in registered {
                 ev.probation.push_back(OrderRecord {
                     key: key.clone(),
-                    stamp: entry.meta.stamp,
+                    stamp: meta.stamp,
                 });
+                ev.live.insert(key, meta);
             }
             self.evict_to_capacity(&mut ev, capacity);
             ev.compact();
@@ -845,17 +692,17 @@ where
     /// Registers a completed fill with the eviction state and trims back
     /// to capacity. No-op when unbounded (the default never takes the
     /// order lock). Lock order is eviction-state → shard; no caller holds
-    /// a shard mutex while acquiring the eviction lock, so the two cannot
+    /// a shard lock while acquiring the eviction lock, so the two cannot
     /// deadlock.
-    fn register_fill(&self, key: &K, entry: &ReadyEntry<V>) {
+    fn register_fill(&self, key: &K, meta: &Arc<EntryMeta>) {
         let Some(capacity) = self.capacity else {
             return;
         };
         let mut ev = self.eviction.lock();
-        ev.live.insert(key.clone(), Arc::clone(&entry.meta));
+        ev.live.insert(key.clone(), Arc::clone(meta));
         ev.probation.push_back(OrderRecord {
             key: key.clone(),
-            stamp: entry.meta.stamp,
+            stamp: meta.stamp,
         });
         self.evict_to_capacity(&mut ev, capacity);
         ev.compact();
@@ -898,20 +745,19 @@ where
                 ev.protected.push_back(record);
                 continue;
             }
-            // Evict under the victim shard's writer mutex, re-checking
+            // Evict under the victim shard's write lock, re-checking
             // identity by stamp: a concurrent remove + re-fill of the key
-            // must never have its *new* entry evicted by this record.
-            let evicted = self.shard(&record.key).mutate(|map| {
-                if matches!(map.get(&record.key), Some(Slot::Ready(e)) if e.meta.stamp == record.stamp)
-                {
-                    map.remove(&record.key);
-                    true
-                } else {
-                    false
+            // must never have its *new* entry evicted by this record. The
+            // victim is dropped after the lock is released.
+            let evicted = {
+                let mut map = self.shard(&record.key).map.write();
+                match map.get(&record.key) {
+                    Some(Slot::Ready(e)) if e.meta.stamp == record.stamp => map.remove(&record.key),
+                    _ => None,
                 }
-            });
+            };
             ev.live.remove(&record.key);
-            if evicted {
+            if evicted.is_some() {
                 self.counters.ready.fetch_sub(1, Ordering::Relaxed);
                 self.counters.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -923,8 +769,7 @@ where
     pub fn snapshot(&self) -> Vec<Arc<V>> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let map = Arc::clone(&*shard.map.lock());
-            out.extend(map.values().filter_map(|slot| match slot {
+            out.extend(shard.map.read().values().filter_map(|slot| match slot {
                 Slot::Ready(e) => Some(Arc::clone(&e.value)),
                 Slot::InFlight(_) => None,
             }));
@@ -940,7 +785,7 @@ where
             .iter()
             .map(|s| {
                 s.map
-                    .lock()
+                    .read()
                     .values()
                     .filter(|slot| matches!(slot, Slot::Ready(_)))
                     .count()
@@ -1434,23 +1279,23 @@ mod tests {
         let occupied = cache
             .shards
             .iter()
-            .filter(|s| !s.map.lock().is_empty())
+            .filter(|s| !s.map.read().is_empty())
             .count();
         assert!(occupied >= 12, "only {occupied}/16 shards occupied");
     }
 
     #[test]
-    fn cross_thread_visibility_through_generation_refresh() {
-        // A value inserted on one thread is visible to a fresh thread
-        // (cold TLS) and to this thread after the generation bump.
+    fn cross_thread_visibility_of_insert_and_remove() {
+        // A value inserted on one thread is visible to another thread, and
+        // a re-insert or remove is visible to the next read.
         let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::new());
         cache.insert(5, Arc::new(50));
         assert_eq!(*cache.get(&5).expect("same-thread read"), 50);
         let c2 = Arc::clone(&cache);
         let handle = std::thread::spawn(move || c2.get(&5).map(|v| *v));
         assert_eq!(handle.join().expect("reader thread"), Some(50));
-        // Mutate and re-read on this thread: the bump invalidates the
-        // cached snapshot immediately.
+        // Mutate and re-read on this thread: the in-place map update is
+        // visible immediately.
         cache.insert(5, Arc::new(51));
         assert_eq!(*cache.get(&5).expect("post-update read"), 51);
         cache.remove(&5);

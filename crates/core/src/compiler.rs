@@ -14,6 +14,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -227,6 +228,9 @@ pub struct MikPoly {
     /// Deterministic fault-injection schedule; `None` (production) makes
     /// every fault hook a no-op.
     fault_plan: RwLock<Option<Arc<FaultPlan>>>,
+    /// Whether `fault_plan` holds a plan, so that every compile checks it
+    /// with one load and takes no lock while none is installed.
+    fault_armed: AtomicBool,
     /// Per-shape compile-attempt counters driving the fault schedule's
     /// `attempt` dimension (transient faults clear on retry).
     fault_attempts: Mutex<HashMap<u64, u32>>,
@@ -267,6 +271,7 @@ impl MikPoly {
             cache: ShardedCache::new(),
             degraded: ShardedCache::new(),
             fault_plan: RwLock::new(None),
+            fault_armed: AtomicBool::new(false),
             fault_attempts: Mutex::new(HashMap::new()),
             telemetry: Telemetry::disabled(),
         }
@@ -289,12 +294,21 @@ impl MikPoly {
     /// schedule. Clears the per-shape attempt counters so a fresh plan
     /// replays its schedule from attempt zero.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.fault_plan.write() = plan;
+        let mut slot = self.fault_plan.write();
+        // Stored under the write lock: a reader that sees the flag set
+        // then blocks on the read lock until the plan is in place.
+        self.fault_armed.store(plan.is_some(), Ordering::Release);
+        *slot = plan;
+        drop(slot);
         self.fault_attempts.lock().clear();
     }
 
     /// The active fault-injection schedule, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
+        // Pairs with the `Release` store in `set_fault_plan`.
+        if !self.fault_armed.load(Ordering::Acquire) {
+            return None;
+        }
         self.fault_plan.read().clone()
     }
 
@@ -676,7 +690,7 @@ impl MikPoly {
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         }
         let count = programs.len();
-        // Validation done; the bulk insert republishes each shard once.
+        // Validation done; the bulk insert locks each shard once.
         self.cache.insert_many(
             programs
                 .into_iter()
@@ -701,7 +715,7 @@ impl MikPoly {
     }
 
     /// Bulk-inserts already-validated restored programs through the
-    /// cache's one-republish-per-shard path. Used by the salvage loader.
+    /// cache's one-lock-per-shard path. Used by the salvage loader.
     pub(crate) fn adopt_restored_programs(&self, programs: Vec<CompiledProgram>) -> usize {
         let count = programs.len();
         self.cache.insert_many(

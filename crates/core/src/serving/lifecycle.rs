@@ -13,9 +13,9 @@
 //!   the warm caches and emits a final [`DrainReport`].
 //! * **Live snapshots** ([`Snapshotter`]): a background thread that
 //!   periodically persists the program caches of a *running* engine.
-//!   The cache read is the lock-free published-`Arc` snapshot
-//!   ([`crate::ShardedCache::snapshot`]), so serving workers never stall
-//!   on the snapshotter; the write is the atomic generation commit of
+//!   The cache read ([`crate::ShardedCache::snapshot`]) holds one shard's
+//!   read lock at a time, which serving hits share, so serving workers
+//!   never stall on the snapshotter; the write is the atomic generation commit of
 //!   [`crate::Engine::save_program_caches`], so a crash mid-snapshot
 //!   never tears the durable state.
 //!
@@ -184,8 +184,8 @@ pub struct SnapshotStats {
 /// A background thread that periodically persists a running engine's
 /// program caches into a snapshot directory.
 ///
-/// Reads are the caches' lock-free published-`Arc` snapshots and writes
-/// are atomic generation commits, so serving is never stalled and the
+/// Reads take one cache shard's read lock at a time and writes are
+/// atomic generation commits, so serving is never stalled and the
 /// directory is always a complete committed generation. [`Snapshotter::stop`]
 /// takes one final snapshot before joining — stopping the snapshotter
 /// *is* the "persist caches" step of a graceful drain.

@@ -29,7 +29,7 @@
 //!   co-launch layers above.
 //! * [`lifecycle`] — long-lived-process concerns: graceful drain
 //!   ([`Lifecycle`], [`DrainReport`]) and live warm-state snapshots
-//!   ([`Snapshotter`]) taken off the lock-free cache read path.
+//!   ([`Snapshotter`]) taken under brief per-shard cache read locks.
 //! * [`report`] — [`ServingReport`], latency summaries, per-tenant
 //!   stats, and per-request telemetry emission.
 //!

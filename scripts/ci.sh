@@ -93,6 +93,13 @@ echo "==> cache smoke: mikpoly cache-bench (stress + restart gates)"
 ./target/release/mikpoly cache-bench --threads 4 --ops 100000 --keys 2048 \
   --restart-entries 10000 --restart-budget-ms 1000
 
+# Cache study smoke: the churn phase panics (non-zero exit) on a
+# `check_invariants` failure at 1, 2, 4 and 8 threads. No throughput
+# floor: shared 2-CPU hosts swing up to 2x. Rewrites
+# results/cache-bench.* with quick-mode numbers.
+echo "==> cache study smoke: experiments --quick cache-bench (invariants under churn)"
+./target/release/experiments --quick cache-bench
+
 # Simulator throughput gate: the event-driven scheduler core must hold
 # >= 10x the frozen reference loop (compiled via the `reference-sim`
 # feature) and an absolute floor of 14M simulated tasks per host second
