@@ -23,9 +23,17 @@
 //! ~1-2x; the implementation comparison and the single-thread hit cost
 //! are the meaningful signals there).
 //! Also measured: per-hit latency percentiles on a fully warmed cache,
-//! and restart-to-warm time for a 10k-program cache through the binary
-//! bundle format (budget: 100 ms) vs. the legacy JSON format. Emits
-//! `results/cache-bench.json`.
+//! and restart-to-warm time for a 10k-program cache through the `MPAC`
+//! bundle. Emits `results/cache-bench.json`.
+//!
+//! Gates (asserted in quick mode too, so the CI smoke carries them): at
+//! every thread count the churn phase's cache passes `check_invariants`,
+//! keeps the lookup ledger (hits + misses + coalesced == operations),
+//! computes once per miss (computations == misses for an infallible
+//! fill), never evicts more than it filled, holds `entries <= capacity`,
+//! and hits at least [`MIN_CHURN_HIT_RATE`]. The 10k-program restore
+//! must finish inside [`RESTART_BUDGET_MS`] and a save → fresh load
+//! round trip must keep every program.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +51,16 @@ use crate::setup::Harness;
 use crate::Report;
 
 const SEED: u64 = 0xCAC4E;
+
+/// Floor on the churn phase's hit rate: Zipf(1.05) over 4x capacity
+/// must keep its hot set resident.
+const MIN_CHURN_HIT_RATE: f64 = 0.3;
+
+/// Budget for restoring [`RESTART_ENTRIES`] programs from one bundle.
+const RESTART_BUDGET_MS: f64 = 1_000.0;
+
+/// Programs in the restart bundle, in quick mode too.
+const RESTART_ENTRIES: usize = 10_000;
 
 /// Zipfian sampler over ranks `0..n` (probability ∝ `1/(r+1)^theta`).
 struct Zipf {
@@ -236,6 +254,43 @@ fn synthetic_programs(compiler: &MikPoly, n: usize) -> Vec<CompiledProgram> {
         .collect()
 }
 
+/// Asserts the churn phase's cache invariants and exact lookup ledger
+/// after `ops` operations with the infallible `get_or_fill` compute.
+fn check_churn_ledger(cache: &ShardedCache<u64, u64>, threads: usize, ops: usize, capacity: usize) {
+    cache
+        .check_invariants()
+        .unwrap_or_else(|e| panic!("cache invariant violated at {threads} threads: {e}"));
+    let s = cache.stats();
+    assert_eq!(
+        s.hits + s.misses + s.coalesced_waits,
+        ops as u64,
+        "{threads} threads: hits {} + misses {} + coalesced {} != {ops} operations",
+        s.hits,
+        s.misses,
+        s.coalesced_waits
+    );
+    assert_eq!(
+        s.computations, s.misses,
+        "{threads} threads: computations != misses with an infallible compute"
+    );
+    assert!(
+        s.evictions <= s.computations + s.direct_inserts,
+        "{threads} threads: evictions {} exceed fills {}",
+        s.evictions,
+        s.computations + s.direct_inserts
+    );
+    assert!(
+        s.entries as usize <= capacity,
+        "{threads} threads: {} entries exceed the capacity bound {capacity}",
+        s.entries
+    );
+    assert!(
+        s.hit_rate() >= MIN_CHURN_HIT_RATE,
+        "{threads} threads: churn hit rate {:.3} under the {MIN_CHURN_HIT_RATE} floor",
+        s.hit_rate()
+    );
+}
+
 /// Runs the cache study and writes `results/cache-bench.json`.
 pub fn run(h: &Harness) -> Vec<Report> {
     let quick = h.config.stride > 1;
@@ -243,8 +298,6 @@ pub fn run(h: &Harness) -> Vec<Report> {
     let capacity = keys / 4;
     let ops = if quick { 40_000 } else { 400_000 };
     let latency_samples = if quick { 20_000 } else { 100_000 };
-    let restart_entries = if quick { 2_000 } else { 10_000 };
-    let legacy_entries = if quick { 100 } else { 500 };
     let thread_counts = [1usize, 2, 4, 8];
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -268,9 +321,7 @@ pub fn run(h: &Harness) -> Vec<Report> {
 
         let sharded: ShardedCache<u64, u64> = ShardedCache::bounded(capacity);
         let sh = throughput(&sharded, &churn_zipf, threads, ops, 0);
-        sharded
-            .check_invariants()
-            .unwrap_or_else(|e| panic!("cache invariant violated at {threads} threads: {e}"));
+        check_churn_ledger(&sharded, threads, ops / threads * threads, capacity);
         churn_hit_rate = sharded.stats().hit_rate();
         let locked = LockedFifoCache::new(capacity);
         let lk = throughput(&locked, &churn_zipf, threads, ops, 0);
@@ -294,49 +345,27 @@ pub fn run(h: &Harness) -> Vec<Report> {
     let sh_p99 = percentile(&sh_lat, 99.0);
     let lk_p99 = percentile(&lk_lat, 99.0);
 
-    // Restart-to-warm: a synthetic production-sized cache through the
-    // binary bundle, and the legacy JSON format on a smaller bundle (the
-    // vendored JSON parser is superlinear — which is the point of the
-    // binary format).
+    // Restart-to-warm: a synthetic production-sized cache through one
+    // bundle, then a save -> fresh load round trip.
     let gpu = h.gpu();
     let warm_src = h.compiler(&gpu, TemplateKind::Gemm);
-    let programs = synthetic_programs(&warm_src, restart_entries);
-    let dir = std::env::temp_dir();
-    let tag = std::process::id();
-    let bin_path = dir.join(format!("mikpoly-bench-cache-{tag}.mpac"));
-    let json_path = dir.join(format!("mikpoly-bench-cache-{tag}.json"));
+    let programs = synthetic_programs(&warm_src, RESTART_ENTRIES);
+    let bin_path =
+        std::env::temp_dir().join(format!("mikpoly-bench-cache-{}.mpac", std::process::id()));
     std::fs::write(&bin_path, encode_bundle(programs.iter())).expect("write bundle");
     let loader = MikPoly::with_library(gpu.clone(), warm_src.library().clone());
     let t0 = Instant::now();
-    let restored = loader.load_program_cache(&bin_path).expect("binary load");
+    let restored = loader.load_program_cache(&bin_path).expect("bundle load");
     let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(restored, restart_entries, "binary bundle lost programs");
-
-    let legacy_src = MikPoly::with_library(gpu.clone(), warm_src.library().clone());
-    std::fs::write(
-        &bin_path,
-        encode_bundle(programs.iter().take(legacy_entries)),
-    )
-    .expect("write subset");
-    legacy_src
+    assert_eq!(restored, RESTART_ENTRIES, "bundle load lost programs");
+    loader
+        .save_program_cache(&bin_path)
+        .expect("bundle re-save");
+    let reloaded = MikPoly::with_library(gpu, warm_src.library().clone())
         .load_program_cache(&bin_path)
-        .expect("subset load");
-    legacy_src
-        .save_program_cache_json(&json_path)
-        .expect("legacy save");
-    let legacy_loader = MikPoly::with_library(gpu, warm_src.library().clone());
-    let t0 = Instant::now();
-    let legacy_restored = legacy_loader
-        .load_program_cache(&json_path)
-        .expect("legacy load");
-    let legacy_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        legacy_restored, legacy_entries,
-        "legacy bundle lost programs"
-    );
-    let legacy_ms_per_program = legacy_ms / legacy_entries as f64;
+        .expect("round-trip load");
+    assert_eq!(reloaded, RESTART_ENTRIES, "save -> load lost programs");
     let _ = std::fs::remove_file(&bin_path);
-    let _ = std::fs::remove_file(&json_path);
 
     let mut report = Report::new(
         "cache-bench",
@@ -373,7 +402,7 @@ pub fn run(h: &Harness) -> Vec<Report> {
     );
     report.headline("hit p99, sharded (ns)", sh_p99);
     report.headline(
-        format!("restart-to-warm, {restart_entries} programs, binary (ms)"),
+        format!("restart-to-warm, {RESTART_ENTRIES} programs, binary (ms)"),
         warm_ms,
     );
 
@@ -416,12 +445,9 @@ pub fn run(h: &Harness) -> Vec<Report> {
             "samples": latency_samples,
         },
         "restart_to_warm": {
-            "binary_programs": restart_entries,
+            "binary_programs": RESTART_ENTRIES,
             "binary_ms": warm_ms,
-            "binary_budget_ms": 100.0,
-            "legacy_json_programs": legacy_entries,
-            "legacy_json_ms": legacy_ms,
-            "legacy_json_ms_per_program": legacy_ms_per_program,
+            "binary_budget_ms": RESTART_BUDGET_MS,
         },
     });
     let path = h.config.results_dir.join("cache-bench.json");
@@ -435,5 +461,10 @@ pub fn run(h: &Harness) -> Vec<Report> {
         Ok(()) => println!("   (artifact: {})", path.display()),
         Err(e) => eprintln!("   (artifact write failed: {e})"),
     }
+
+    assert!(
+        warm_ms <= RESTART_BUDGET_MS,
+        "restart-to-warm {warm_ms:.1} ms over the {RESTART_BUDGET_MS} ms budget"
+    );
     vec![report]
 }

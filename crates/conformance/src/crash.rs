@@ -15,21 +15,17 @@
 //! freshly compiled programs, then truncates it at **every** byte offset,
 //! flips seeded random bits, and feeds seeded arbitrary bytes through the
 //! strict and salvage decoders under `catch_unwind`. The
-//! [`record_end_offsets`] index is the oracle for promise 2. The same
-//! sweep runs against the previous binary format (v2, no checksums) for
-//! the no-panic promise — v2 predates per-record CRCs, so its salvage
-//! prefix stops at the first *structurally* invalid record instead.
+//! [`record_end_offsets`] index is the oracle for promise 2. Blobs that
+//! do not carry the current `MPAC` version-3 header — a version-2
+//! header, a JSON-looking `[` or `{`, plain garbage — must be rejected by
+//! the strict decoder and salvage to zero programs: version 3 is the
+//! only format the loader reads.
 //!
-//! `scripts/ci.sh` runs this via `conformance crash --seed N`; the
-//! `cache-bench` CLI embeds a smaller copy of the same matrix so the
-//! persistence benchmark exercises its own format.
+//! `scripts/ci.sh` runs this via `conformance crash --seed N`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mikpoly::{
-    decode_bundle, encode_bundle, encode_bundle_v2, record_end_offsets, salvage_bundle,
-    CompiledProgram,
-};
+use mikpoly::{decode_bundle, encode_bundle, record_end_offsets, salvage_bundle, CompiledProgram};
 use tensor_ir::{GemmShape, Operator};
 
 use crate::rng::XorShift64;
@@ -64,7 +60,7 @@ impl Default for CrashConfig {
 /// found. An empty [`CrashReport::violations`] is the pass condition.
 #[derive(Debug, Clone, Default)]
 pub struct CrashReport {
-    /// Truncation offsets swept (v3 and v2 bundles combined).
+    /// Truncation offsets swept.
     pub truncations: usize,
     /// Bit-flip trials run.
     pub flips: usize,
@@ -101,15 +97,13 @@ fn no_panic<T>(context: &str, f: impl FnOnce() -> T) -> Result<T, String> {
         .map_err(|payload| format!("{context}: PANICKED: {}", mikpoly::panic_reason(&*payload)))
 }
 
-/// Truncates `bytes` at every offset and checks the salvage contract.
-/// With `ends` (the v3 record-end oracle) the salvaged count must equal
-/// the exact valid prefix; without it (v2) only the no-panic and
-/// prefix-monotonicity promises apply.
-fn truncation_sweep(label: &str, bytes: &[u8], ends: Option<&[usize]>, report: &mut CrashReport) {
-    let mut previous = 0usize;
+/// Truncates `bytes` at every offset and checks the salvage contract:
+/// the salvaged count must equal the exact valid prefix per the
+/// record-end oracle `ends`.
+fn truncation_sweep(bytes: &[u8], ends: &[usize], report: &mut CrashReport) {
     for cut in 0..=bytes.len() {
         report.truncations += 1;
-        let salvage = match no_panic(&format!("{label} truncated at {cut}"), || {
+        let salvage = match no_panic(&format!("bundle truncated at {cut}"), || {
             salvage_bundle(&bytes[..cut])
         }) {
             Ok(salvage) => salvage,
@@ -118,29 +112,19 @@ fn truncation_sweep(label: &str, bytes: &[u8], ends: Option<&[usize]>, report: &
                 continue;
             }
         };
-        if let Some(ends) = ends {
-            let expected = ends.iter().filter(|&&end| end <= cut).count();
-            if salvage.programs.len() != expected {
-                report.violations.push(format!(
-                    "{label} truncated at {cut}: salvaged {} records, expected the exact \
-                     valid prefix of {expected}",
-                    salvage.programs.len()
-                ));
-            }
-        } else if salvage.programs.len() < previous && cut < bytes.len() {
-            // Without per-record CRCs the exact count is format-defined,
-            // but more bytes can never salvage fewer records.
+        let expected = ends.iter().filter(|&&end| end <= cut).count();
+        if salvage.programs.len() != expected {
             report.violations.push(format!(
-                "{label} truncated at {cut}: salvage went backwards ({} after {previous})",
+                "bundle truncated at {cut}: salvaged {} records, expected the exact \
+                 valid prefix of {expected}",
                 salvage.programs.len()
             ));
         }
         if cut == bytes.len() && !salvage.clean {
-            report.violations.push(format!(
-                "{label}: the undamaged bundle did not decode clean"
-            ));
+            report
+                .violations
+                .push("the undamaged bundle did not decode clean".to_string());
         }
-        previous = salvage.programs.len();
     }
 }
 
@@ -169,9 +153,11 @@ fn bit_flip_trials(bytes: &[u8], config: &CrashConfig, report: &mut CrashReport)
     }
 }
 
-/// Feeds seeded arbitrary bytes to both decoders. Half the blobs carry a
-/// valid-looking `MPAC` header so the deeper decode paths get exercised,
-/// a few lead with `{` to land in the legacy-JSON path.
+/// Feeds seeded arbitrary bytes to both decoders. A quarter of the blobs
+/// carry a valid-looking version-3 header so the deeper decode paths get
+/// exercised; a quarter carry a version-2 header and a quarter lead with
+/// `[` or `{`. Every blob without the version-3 header must be rejected
+/// by the strict decoder and salvage to zero programs.
 fn fuzz_blob_trials(config: &CrashConfig, report: &mut CrashReport) {
     let mut rng = XorShift64::new(config.seed ^ 0xb10b);
     for trial in 0..config.fuzz_blobs {
@@ -185,36 +171,44 @@ fn fuzz_blob_trials(config: &CrashConfig, report: &mut CrashReport) {
                 let version = if trial % 4 == 0 { 3u32 } else { 2u32 };
                 blob[4..8].copy_from_slice(&version.to_le_bytes());
             }
-            2 if !blob.is_empty() => blob[0] = b'{',
+            2 if !blob.is_empty() => blob[0] = if trial % 8 == 2 { b'[' } else { b'{' },
             _ => {}
         }
+        let v3_header = blob.starts_with(b"MPAC\x03\0\0\0");
         let context = format!("fuzz blob #{trial} ({len} bytes)");
-        if let Err(violation) = no_panic(&context, || {
-            let _ = decode_bundle(&blob);
-            let _ = salvage_bundle(&blob);
+        match no_panic(&context, || {
             let _ = record_end_offsets(&blob);
+            (
+                decode_bundle(&blob).is_ok(),
+                salvage_bundle(&blob).programs.len(),
+            )
         }) {
-            report.violations.push(violation);
+            Ok((accepted, salvaged)) if !v3_header && (accepted || salvaged > 0) => {
+                report.violations.push(format!(
+                    "{context}: a blob without the version-3 header was accepted \
+                     (strict ok: {accepted}, salvaged {salvaged} programs)"
+                ));
+            }
+            Ok(_) => {}
+            Err(violation) => report.violations.push(violation),
         }
     }
 }
 
-/// Runs the full crash matrix: the every-offset truncation sweep against
-/// v3 (exact-prefix oracle) and v2 (no-panic) bundles, the single-bit
-/// flip trials, and the arbitrary-bytes trials.
+/// Runs the full crash matrix: the every-offset truncation sweep
+/// (exact-prefix oracle), the single-bit flip trials, and the
+/// arbitrary-bytes trials.
 pub fn crash_run(env: &ConformanceEnv, config: &CrashConfig) -> CrashReport {
     let mut report = CrashReport::default();
     let programs = probe_programs(env, config.programs.max(1));
-    let v3 = encode_bundle(programs.iter());
-    let v2 = encode_bundle_v2(programs.iter());
-    match record_end_offsets(&v3) {
-        Ok(ends) => truncation_sweep("v3 bundle", &v3, Some(&ends), &mut report),
-        Err(e) => report.violations.push(format!(
-            "record_end_offsets rejected a fresh v3 bundle: {e}"
-        )),
+    let bundle = encode_bundle(programs.iter());
+    match record_end_offsets(&bundle) {
+        Ok(ends) => truncation_sweep(&bundle, &ends, &mut report),
+        Err(e) => report
+            .violations
+            .push(format!("record_end_offsets rejected a fresh bundle: {e}")),
     }
-    truncation_sweep("v2 bundle", &v2, None, &mut report);
-    bit_flip_trials(&v3, config, &mut report);
+    bit_flip_trials(&bundle, config, &mut report);
     fuzz_blob_trials(config, &mut report);
     report
 }

@@ -18,10 +18,6 @@
 //! mikpoly chaos [--requests N] [--workers N] [--seed N] [--fault-rate F]
 //!               [--stall-ns N] [--queue-capacity N] [--deadline-us N]
 //!               [--compile-budget-us N] [--machine ...]
-//! mikpoly cache-bench [--threads N] [--ops N] [--keys N] [--capacity N]
-//!               [--theta F] [--seed N] [--min-hit-rate F]
-//!               [--restart-entries N] [--restart-budget-ms N] [--machine ...]
-//!               [--crash-programs N] [--crash-flips N]
 //! ```
 //!
 //! Runs the offline stage (cached in-process), polymerizes the requested
@@ -62,10 +58,8 @@ use accel_sim::{Cluster, FaultPlan, Interconnect, MachineModel};
 use mikpoly::serving::poisson_arrivals;
 use mikpoly::telemetry::{render_blackbox, SloPolicy, Telemetry};
 use mikpoly::{
-    decode_bundle, encode_bundle, record_end_offsets, salvage_bundle, BatchingOptions,
-    BreakerPolicy, CacheStats, CompiledProgram, Disposition, Engine, MikPoly, OfflineOptions,
-    OnlineOptions, PatternId, Region, Request, ServingOptions, ServingRuntime, ShardedCache,
-    Snapshotter, TemplateKind, TenantPolicy, TenantQuota,
+    BatchingOptions, BreakerPolicy, Disposition, Engine, MikPoly, OfflineOptions, OnlineOptions,
+    Request, ServingOptions, ServingRuntime, Snapshotter, TemplateKind, TenantPolicy, TenantQuota,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -127,9 +121,6 @@ fn main() {
         }
         Some("chaos") => {
             chaos(machine, &args);
-        }
-        Some("cache-bench") => {
-            cache_bench(machine, &args);
         }
         Some("trace-stats") => {
             let path = positional
@@ -816,323 +807,6 @@ fn trace_stats(path: &str) {
     }
 }
 
-/// Zipfian sampler over ranks `0..n`: rank `r` is drawn with probability
-/// proportional to `1/(r+1)^theta`, via binary search on the precomputed
-/// CDF — the skewed hot-set-plus-churn-tail shape traffic of production
-/// dynamic-shape serving.
-struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    fn new(n: usize, theta: f64) -> Self {
-        let mut cdf = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for rank in 0..n {
-            total += 1.0 / ((rank + 1) as f64).powf(theta);
-            cdf.push(total);
-        }
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Self { cdf }
-    }
-
-    fn sample(&self, rng: &mut SmallRng) -> usize {
-        let u: f64 = rng.gen();
-        self.cdf.partition_point(|c| *c < u).min(self.cdf.len() - 1)
-    }
-}
-
-/// Synthesizes `n` distinct single-region compiled programs from a real
-/// micro-kernel library — structurally valid warm-restart payload without
-/// paying `n` polymerization searches.
-fn synthetic_programs(compiler: &MikPoly, n: usize) -> Vec<CompiledProgram> {
-    let kernels: Vec<_> = compiler
-        .library()
-        .kernels
-        .iter()
-        .map(|t| t.kernel)
-        .collect();
-    assert!(!kernels.is_empty(), "library has no kernels");
-    (0..n)
-        .map(|i| {
-            let shape = GemmShape::new(8 + i, 64 + (i % 64), 32 + (i % 32));
-            let operator = Operator::gemm(shape);
-            CompiledProgram {
-                operator,
-                view: operator.gemm_view(),
-                pattern: PatternId(1),
-                regions: vec![Region::new(
-                    0,
-                    shape.m,
-                    0,
-                    shape.n,
-                    kernels[i % kernels.len()],
-                )],
-                split_k: 1,
-                predicted_ns: 1_000.0 + i as f64,
-                stats: Default::default(),
-            }
-        })
-        .collect()
-}
-
-/// Stress-benches the program cache: a bounded `ShardedCache` under
-/// skewed (Zipfian) read-heavy traffic from N threads, then a
-/// warm-restart round trip through both bundle formats (binary and
-/// legacy JSON). Prints throughput, hit rate, and restart timings, and
-/// exits non-zero if any cache invariant is violated, the hit rate falls
-/// below the floor, a round trip loses programs, or the binary restart
-/// misses its budget — the CI cache smoke.
-fn cache_bench(machine: MachineModel, args: &[String]) {
-    let threads: usize = parsed_flag(args, "--threads").unwrap_or(4);
-    let ops: usize = parsed_flag(args, "--ops").unwrap_or(200_000);
-    let keys: usize = parsed_flag(args, "--keys").unwrap_or(4096);
-    let capacity: usize = parsed_flag(args, "--capacity").unwrap_or_else(|| (keys / 4).max(1));
-    let theta: f64 = parsed_flag(args, "--theta").unwrap_or(1.05);
-    let seed: u64 = parsed_flag(args, "--seed").unwrap_or(42);
-    let min_hit_rate: f64 = parsed_flag(args, "--min-hit-rate").unwrap_or(0.3);
-    let restart_entries: usize = parsed_flag(args, "--restart-entries").unwrap_or(10_000);
-    let restart_budget_ms: u64 = parsed_flag(args, "--restart-budget-ms").unwrap_or(1_000);
-    // The legacy-JSON compatibility gate runs on a smaller bundle: the
-    // vendored serde_json parser is superlinear in document size, which
-    // is exactly why the binary format exists.
-    let legacy_entries: usize =
-        parsed_flag(args, "--legacy-entries").unwrap_or_else(|| restart_entries.min(500));
-    if threads == 0 || ops == 0 || keys == 0 || capacity == 0 {
-        usage("cache-bench needs positive --threads/--ops/--keys/--capacity");
-    }
-    let mut violations = 0usize;
-    let mut violation = |msg: String| {
-        eprintln!("invariant violated: {msg}");
-        violations += 1;
-    };
-
-    // Phase 1: Zipfian stress on a bounded cache. Every thread hammers
-    // get_or_compute over the same skewed key distribution; the hot set
-    // must stay resident (segmented LRU) while the tail churns through
-    // the capacity bound.
-    let zipf = Zipf::new(keys, theta);
-    let stress = |threads: usize| -> (f64, CacheStats, Result<(), String>, usize) {
-        let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::bounded(capacity));
-        let per_thread = ops / threads;
-        let t0 = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let cache = Arc::clone(&cache);
-                let zipf = &zipf;
-                scope.spawn(move || {
-                    let mut rng =
-                        SmallRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-                    for _ in 0..per_thread {
-                        let k = zipf.sample(&mut rng) as u64;
-                        let (v, _) = cache.get_or_compute(&k, || k.wrapping_mul(2));
-                        assert_eq!(*v, k.wrapping_mul(2), "cache returned a wrong value");
-                    }
-                });
-            }
-        });
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let total = per_thread * threads;
-        (
-            total as f64 / secs,
-            cache.stats(),
-            cache.check_invariants(),
-            total,
-        )
-    };
-    let (base_tput, _, base_inv, _) = stress(1);
-    if let Err(e) = base_inv {
-        violation(format!("single-thread stress: {e}"));
-    }
-    let (tput, stats, inv, total_ops) = stress(threads);
-    if let Err(e) = inv {
-        violation(format!("{threads}-thread stress: {e}"));
-    }
-    let lookups = stats.hits + stats.misses + stats.coalesced_waits;
-    if lookups != total_ops as u64 {
-        violation(format!(
-            "hits {} + misses {} + coalesced {} != {total_ops} operations",
-            stats.hits, stats.misses, stats.coalesced_waits
-        ));
-    }
-    if stats.computations != stats.misses {
-        violation(format!(
-            "computations {} != misses {} with an infallible compute",
-            stats.computations, stats.misses
-        ));
-    }
-    if stats.evictions > stats.computations + stats.direct_inserts {
-        violation(format!(
-            "evictions {} exceed fills {} — double-counted eviction",
-            stats.evictions,
-            stats.computations + stats.direct_inserts
-        ));
-    }
-    if stats.entries as usize > capacity {
-        violation(format!(
-            "{} entries exceed the capacity bound {capacity}",
-            stats.entries
-        ));
-    }
-    if stats.hit_rate() < min_hit_rate {
-        violation(format!(
-            "hit rate {:.3} under the {min_hit_rate} floor",
-            stats.hit_rate()
-        ));
-    }
-    println!(
-        "stress: {total_ops} ops, {keys} keys (theta {theta}), capacity {capacity}, {} shards",
-        mikpoly::cache::DEFAULT_SHARDS
-    );
-    println!(
-        "  1 thread:  {:>10.0} ops/s\n  {threads} threads: {:>10.0} ops/s  ({:.2}x, host has {} cpu(s))",
-        base_tput,
-        tput,
-        tput / base_tput,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    println!(
-        "  hit rate {:.3}  hits {}  misses {}  coalesced {}  evictions {}",
-        stats.hit_rate(),
-        stats.hits,
-        stats.misses,
-        stats.coalesced_waits,
-        stats.evictions
-    );
-
-    // Phase 2: warm-restart round trip. Synthetic programs built from a
-    // real library stand in for a production-sized compiled cache; the
-    // binary load must beat the budget, and a save→load round trip
-    // through *both* formats must preserve every program.
-    eprintln!("offline: tuning micro-kernels for {} ...", machine.name);
-    let mut offline = OfflineOptions::fast();
-    offline.n_gen = 4;
-    let a = MikPoly::offline(machine.clone(), &offline);
-    let programs = synthetic_programs(&a, restart_entries);
-    let tag = std::process::id();
-    let bin_path = std::env::temp_dir().join(format!("mikpoly-cache-bench-{tag}.mpac"));
-    let json_path = std::env::temp_dir().join(format!("mikpoly-cache-bench-{tag}.json"));
-    if let Err(e) = std::fs::write(&bin_path, encode_bundle(programs.iter())) {
-        eprintln!("error: writing {}: {e}", bin_path.display());
-        std::process::exit(1);
-    }
-
-    let t0 = std::time::Instant::now();
-    match a.load_program_cache(&bin_path) {
-        Ok(n) if n == restart_entries => {}
-        Ok(n) => violation(format!(
-            "binary load restored {n}/{restart_entries} programs"
-        )),
-        Err(e) => violation(format!("binary load failed: {e}")),
-    }
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if warm_ms > restart_budget_ms as f64 {
-        violation(format!(
-            "restart-to-warm {warm_ms:.1}ms over the {restart_budget_ms}ms budget"
-        ));
-    }
-    println!("restart: {restart_entries} programs to warm in {warm_ms:.1}ms (binary bundle)");
-
-    // Round trip on a smaller bundle: binary → legacy JSON save → fresh
-    // load → binary re-save → fresh load. Counts must hold at every hop
-    // (the legacy-format compatibility gate).
-    let b = MikPoly::with_library(machine.clone(), a.library().clone());
-    if let Err(e) = std::fs::write(
-        &bin_path,
-        encode_bundle(programs.iter().take(legacy_entries)),
-    ) {
-        eprintln!("error: writing {}: {e}", bin_path.display());
-        std::process::exit(1);
-    }
-    match b.load_program_cache(&bin_path) {
-        Ok(n) if n == legacy_entries => {}
-        Ok(n) => violation(format!(
-            "subset load restored {n}/{legacy_entries} programs"
-        )),
-        Err(e) => violation(format!("subset load failed: {e}")),
-    }
-    if let Err(e) = b.save_program_cache_json(&json_path) {
-        violation(format!("legacy JSON save failed: {e}"));
-    }
-    let c = MikPoly::with_library(machine.clone(), a.library().clone());
-    let t0 = std::time::Instant::now();
-    match c.load_program_cache(&json_path) {
-        Ok(n) if n == legacy_entries => {}
-        Ok(n) => violation(format!(
-            "legacy load restored {n}/{legacy_entries} programs"
-        )),
-        Err(e) => violation(format!("legacy load failed: {e}")),
-    }
-    let legacy_ms = t0.elapsed().as_secs_f64() * 1e3;
-    println!("restart: {legacy_entries} programs to warm in {legacy_ms:.1}ms (legacy JSON)");
-    if let Err(e) = c.save_program_cache(&bin_path) {
-        violation(format!("binary re-save failed: {e}"));
-    }
-    let d = MikPoly::with_library(machine, a.library().clone());
-    match d.load_program_cache(&bin_path) {
-        Ok(n) if n == legacy_entries => {}
-        Ok(n) => violation(format!(
-            "binary round trip kept {n}/{legacy_entries} programs"
-        )),
-        Err(e) => violation(format!("binary round-trip load failed: {e}")),
-    }
-    let _ = std::fs::remove_file(&bin_path);
-    let _ = std::fs::remove_file(&json_path);
-
-    // Phase 3: crash matrix over the checksummed format. Truncate a
-    // bundle at every byte offset — salvage must recover exactly the
-    // records whose bytes end before the cut — then flip seeded bits —
-    // the strict decoder must reject every one (CRC32 catches any
-    // single-bit flip). The conformance crate's `crash` subcommand runs
-    // the larger matrix; this phase keeps the persistence benchmark
-    // honest about its own format.
-    let crash_programs: usize = parsed_flag(args, "--crash-programs").unwrap_or(8);
-    let crash_flips: usize = parsed_flag(args, "--crash-flips").unwrap_or(128);
-    let bundle = encode_bundle(programs.iter().take(crash_programs.max(1)));
-    match record_end_offsets(&bundle) {
-        Ok(ends) => {
-            for cut in 0..=bundle.len() {
-                let salvage = salvage_bundle(&bundle[..cut]);
-                let expected = ends.iter().filter(|&&end| end <= cut).count();
-                if salvage.programs.len() != expected {
-                    violation(format!(
-                        "truncation at {cut}: salvaged {} records, expected the exact \
-                         prefix of {expected}",
-                        salvage.programs.len()
-                    ));
-                    break;
-                }
-            }
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xc4a5);
-            for _ in 0..crash_flips {
-                let pos = rng.gen_range(0..bundle.len());
-                let bit: u8 = rng.gen_range(0..8);
-                let mut damaged = bundle.clone();
-                damaged[pos] ^= 1 << bit;
-                if decode_bundle(&damaged).is_ok() {
-                    violation(format!(
-                        "bit flip at byte {pos} bit {bit} went undetected by the strict decoder"
-                    ));
-                }
-                let _ = salvage_bundle(&damaged);
-            }
-            println!(
-                "crash: {} truncation offsets and {crash_flips} bit flips held the salvage contract",
-                bundle.len() + 1
-            );
-        }
-        Err(e) => violation(format!("record_end_offsets rejected a fresh bundle: {e}")),
-    }
-
-    if violations > 0 {
-        eprintln!("\ncache-bench: {violations} invariant violation(s)");
-        std::process::exit(1);
-    }
-    println!("\ncache-bench: all invariants held");
-}
-
 fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     flag_value(args, name).map(|v| {
         v.parse()
@@ -1172,8 +846,5 @@ fn usage(msg: &str) -> ! {
         "  mikpoly chaos [--requests N] [--workers N] [--seed N] [--fault-rate F] [--stall-ns N]"
     );
     eprintln!("                [--queue-capacity N] [--deadline-us N] [--compile-budget-us N] [--machine ...]");
-    eprintln!("  mikpoly cache-bench [--threads N] [--ops N] [--keys N] [--capacity N] [--theta F] [--seed N]");
-    eprintln!("                [--min-hit-rate F] [--restart-entries N] [--restart-budget-ms N] [--machine ...]");
-    eprintln!("                [--crash-programs N] [--crash-flips N]");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

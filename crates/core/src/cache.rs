@@ -678,6 +678,9 @@ where
         if let Some(capacity) = self.capacity {
             let mut ev = self.eviction.lock();
             for (key, meta) in registered {
+                if !self.is_current(&key, meta.stamp) {
+                    continue;
+                }
                 ev.probation.push_back(OrderRecord {
                     key: key.clone(),
                     stamp: meta.stamp,
@@ -699,13 +702,25 @@ where
             return;
         };
         let mut ev = self.eviction.lock();
-        ev.live.insert(key.clone(), Arc::clone(meta));
-        ev.probation.push_back(OrderRecord {
-            key: key.clone(),
-            stamp: meta.stamp,
-        });
+        if self.is_current(key, meta.stamp) {
+            ev.live.insert(key.clone(), Arc::clone(meta));
+            ev.probation.push_back(OrderRecord {
+                key: key.clone(),
+                stamp: meta.stamp,
+            });
+        }
         self.evict_to_capacity(&mut ev, capacity);
         ev.compact();
+    }
+
+    /// Whether the fill stamped `stamp` is still `key`'s ready entry.
+    /// Registration checks this under the eviction lock: between a
+    /// fill's commit and its registration a `remove` (and a re-fill) may
+    /// have run, and registering the stale stamp would leave `live`
+    /// naming an entry the shard no longer holds. A later fill registers
+    /// itself.
+    fn is_current(&self, key: &K, stamp: u64) -> bool {
+        matches!(self.shard(key).map.read().get(key), Some(Slot::Ready(e)) if e.meta.stamp == stamp)
     }
 
     /// The segmented-LRU eviction scan. Victims come from the probation

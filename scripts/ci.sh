@@ -83,21 +83,16 @@ echo "==> chaos smoke: mikpoly chaos (fixed seeds)"
   --queue-capacity 8 --deadline-us 5000
 ./target/release/mikpoly chaos --requests 32 --workers 2 --seed 11 --fault-rate 0.1
 
-# Cache smoke: Zipfian stress on the bounded program cache (exact-once
-# computation, counter coherence, capacity bound — the binary exits
-# non-zero on any invariant violation or a hit rate below floor), then
-# the warm-restart gates: a 10k-program binary bundle must load inside
-# 1 s, and a legacy JSON bundle must still round-trip through the new
-# writer/loader pair.
-echo "==> cache smoke: mikpoly cache-bench (stress + restart gates)"
-./target/release/mikpoly cache-bench --threads 4 --ops 100000 --keys 2048 \
-  --restart-entries 10000 --restart-budget-ms 1000
-
-# Cache study smoke: the churn phase panics (non-zero exit) on a
-# `check_invariants` failure at 1, 2, 4 and 8 threads. No throughput
-# floor: shared 2-CPU hosts swing up to 2x. Rewrites
-# results/cache-bench.* with quick-mode numbers.
-echo "==> cache study smoke: experiments --quick cache-bench (invariants under churn)"
+# Cache gates: the churn phase runs Zipfian traffic over 4x the capacity
+# at 1, 2, 4 and 8 threads and panics (non-zero exit) unless the cache
+# passes `check_invariants`, hits + misses + coalesced == operations,
+# computations == misses (the fill is infallible), evictions <= fills,
+# entries <= capacity, and the hit rate is >= 0.3. A 10,000-program
+# bundle must then restore within 1 s and survive a save -> load round
+# trip. The crash matrix for the bundle format is `conformance crash`
+# below. No throughput floor: shared 2-CPU hosts swing up to 2x.
+# Rewrites results/cache-bench.* with quick-mode numbers.
+echo "==> cache gates: experiments --quick cache-bench (churn ledger + 10k restore <= 1 s)"
 ./target/release/experiments --quick cache-bench
 
 # Simulator throughput gate: the event-driven scheduler core must hold
@@ -154,7 +149,8 @@ echo "==> conformance gate (hard corpus, p95 oracle gap <= 1.10)"
 
 # Crash matrix: the durable warm-state loader must never panic and must
 # salvage exactly the valid record prefix — every-offset truncation plus
-# fixed-seed bit flips and arbitrary-byte blobs (the binary exits
+# fixed-seed bit flips and arbitrary-byte blobs, of which every blob
+# without an MPAC version-3 header must be refused (the binary exits
 # non-zero on any violation).
 echo "==> conformance crash (seed 7, truncation sweep + 128 flips + 128 blobs)"
 ./target/release/conformance crash --seed 7 --flips 128 --fuzz-blobs 128

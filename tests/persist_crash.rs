@@ -11,15 +11,15 @@
 //!   decoder;
 //! * a swapped-in bundle that is internally valid but not the committed
 //!   one is damage, not data — quarantined, never silently adopted;
-//! * the legacy JSON path is capped before its superlinear parse can
-//!   stall a restart.
+//! * `MPAC` version 3 is the only format read: a JSON array or a
+//!   version-2 bundle under a state directory is quarantined, not loaded.
 
 use std::sync::{Arc, OnceLock};
 
 use mikpoly_suite::accel_sim::MachineModel;
 use mikpoly_suite::mikpoly::{
-    decode_bundle, encode_bundle, encode_bundle_v2, record_end_offsets, salvage_bundle, Engine,
-    OfflineOptions, RestoreOutcome,
+    decode_bundle, encode_bundle, record_end_offsets, salvage_bundle, Engine, OfflineOptions,
+    RestoreOutcome,
 };
 use mikpoly_suite::tensor_ir::{GemmShape, Operator};
 
@@ -85,16 +85,10 @@ fn truncation_at_every_offset_salvages_the_exact_prefix() {
 }
 
 #[test]
-fn previous_format_loads_and_bit_flips_never_pass_strict_decode() {
+fn bit_flips_never_pass_strict_decode() {
     let engine = shared_engine();
     let programs =
         decode_bundle(&engine.gemm_compiler().encode_program_cache()).expect("self decode");
-    // The previous binary revision (no checksums) decodes forever.
-    let v2 = encode_bundle_v2(programs.iter());
-    assert_eq!(
-        decode_bundle(&v2).expect("v2 decodes").len(),
-        programs.len()
-    );
     // Any single-bit flip anywhere in the checksummed format is caught
     // by the strict decoder, and salvage stays panic-free on it.
     let v3 = encode_bundle(programs.iter());
@@ -191,17 +185,48 @@ fn a_swapped_bundle_never_mixes_generations() {
 }
 
 #[test]
-fn oversized_legacy_json_is_rejected_with_guidance() {
-    let engine = shared_engine();
-    let path = std::env::temp_dir().join(format!("mikpoly-legacy-cap-{}.json", std::process::id()));
-    let mut blob = vec![b' '; (1 << 20) + 1];
-    blob[0] = b'[';
-    std::fs::write(&path, &blob).expect("write oversized JSON");
-    let err = engine
-        .gemm_compiler()
-        .load_program_cache(&path)
-        .expect_err("an over-cap legacy document must be rejected, not parsed");
+fn json_and_version_2_bundles_are_quarantined_not_loaded() {
+    let dir = scratch("old-formats");
+    // A flat (manifest-less) state directory in two retired formats: a
+    // JSON array and a bare version-2 header (magic, version 2, count 0).
+    let json = b"[]".to_vec();
+    let mut v2 = b"MPAC".to_vec();
+    v2.extend_from_slice(&2u32.to_le_bytes());
+    v2.extend_from_slice(&0u64.to_le_bytes());
+    let plant = || {
+        std::fs::write(dir.join("gemm.mpac"), &json).expect("plant JSON bundle");
+        std::fs::write(dir.join("conv.mpac"), &v2).expect("plant v2 bundle");
+    };
+    plant();
+
+    let restore = fresh_engine().restore_program_caches(&dir);
+    assert_eq!(restore.restored(), 0, "{restore}");
+    for stem in ["gemm", "conv"] {
+        let bundle = restore
+            .bundles
+            .iter()
+            .find(|b| b.bundle == stem)
+            .expect("bundle entry");
+        assert!(
+            matches!(bundle.outcome, RestoreOutcome::Quarantined),
+            "{stem}: {restore}"
+        );
+        assert_eq!(bundle.restored, 0, "{stem}: {restore}");
+        assert!(
+            !dir.join(format!("{stem}.mpac")).exists(),
+            "{stem}.mpac must leave the state directory"
+        );
+        assert!(
+            dir.join("quarantine").join(format!("{stem}.mpac")).exists(),
+            "{stem}.mpac must be quarantined, not deleted: {restore}"
+        );
+    }
+
+    // The strict loader refuses the same files outright.
+    plant();
+    let err = fresh_engine()
+        .load_program_caches(&dir)
+        .expect_err("a retired format must not load");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("binary format"), "{err}");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
