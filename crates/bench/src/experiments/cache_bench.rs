@@ -8,8 +8,11 @@
 //! through two cache implementations:
 //!
 //! * **sharded** — `mikpoly::ShardedCache`: 16 padded shards, each a
-//!   `RwLock<HashMap>` mutated in place (a hit takes one read lock),
-//!   striped hit counter, single-flight fills, segmented-LRU eviction;
+//!   `RwLock` over its map mutated in place (a hit takes one read lock),
+//!   striped hit counter, single-flight fills, and a capacity bound split
+//!   into per-shard caps that sum to it, each shard evicting by its own
+//!   segmented-LRU queues under its one write lock (so the bound holds
+//!   exactly at every instant);
 //! * **locked-fifo** — the pre-PR-6 design, reconstructed here as the
 //!   baseline: sharded `RwLock<HashMap>` hits, a global `Mutex` FIFO
 //!   order list, and an eviction loop that rescans every shard per
@@ -254,6 +257,14 @@ fn synthetic_programs(compiler: &MikPoly, n: usize) -> Vec<CompiledProgram> {
         .collect()
 }
 
+/// A bounded sharded cache that keeps any `hot` keys resident. The bound
+/// is per shard, so a shard can fill before the cache does; twice the
+/// room keeps every shard of a `hot`-key set under its cap, and the
+/// hit-path phase asserts that no timed operation missed.
+fn resident_cache(hot: usize) -> ShardedCache<u64, u64> {
+    ShardedCache::bounded(2 * hot)
+}
+
 /// Asserts the churn phase's cache invariants and exact lookup ledger
 /// after `ops` operations with the infallible `get_or_fill` compute.
 fn check_churn_ledger(cache: &ShardedCache<u64, u64>, threads: usize, ops: usize, capacity: usize) {
@@ -301,9 +312,9 @@ pub fn run(h: &Harness) -> Vec<Report> {
     let thread_counts = [1usize, 2, 4, 8];
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // Phase 1 — steady-state hit path (the tentpole's target): the cache
-    // is pre-warmed with a resident set inside capacity and every timed
-    // operation is a hit, so the sweep isolates pure read-path cost.
+    // Phase 1 — steady-state hit path: the cache is pre-warmed with a
+    // resident set inside capacity and every timed operation is a hit,
+    // so the sweep isolates pure read-path cost.
     // Phase 2 — churn: Zipfian traffic over 4x capacity, so the tail
     // keeps the fill and eviction paths busy. A fresh cache per
     // (implementation, thread count, phase) keeps runs independent.
@@ -313,8 +324,13 @@ pub fn run(h: &Harness) -> Vec<Report> {
     let mut churn_rows: Vec<(usize, f64, f64)> = Vec::new();
     let mut churn_hit_rate = 0.0;
     for &threads in &thread_counts {
-        let sharded: ShardedCache<u64, u64> = ShardedCache::bounded(capacity);
+        let sharded = resident_cache(capacity);
         let sh = throughput(&sharded, &hot_zipf, threads, ops, capacity);
+        assert_eq!(
+            sharded.stats().misses,
+            capacity as u64,
+            "{threads} threads: a timed hit-path operation missed"
+        );
         let locked = LockedFifoCache::new(capacity);
         let lk = throughput(&locked, &hot_zipf, threads, ops, capacity);
         hit_rows.push((threads, sh, lk));
@@ -335,8 +351,13 @@ pub fn run(h: &Harness) -> Vec<Report> {
     // Hit-latency percentiles on warmed caches (hot set within capacity,
     // so every sampled op is a hit).
     let hot = capacity / 2;
-    let sh_cache: ShardedCache<u64, u64> = ShardedCache::bounded(capacity);
+    let sh_cache = resident_cache(hot);
     let mut sh_lat = hit_latency_ns(&sh_cache, hot, latency_samples);
+    assert_eq!(
+        sh_cache.stats().misses,
+        hot as u64,
+        "a timed hit-latency sample missed"
+    );
     sh_lat.sort_by(|a, b| a.total_cmp(b));
     let lk_cache = LockedFifoCache::new(capacity);
     let mut lk_lat = hit_latency_ns(&lk_cache, hot, latency_samples);

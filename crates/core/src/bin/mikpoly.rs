@@ -59,7 +59,8 @@ use mikpoly::serving::poisson_arrivals;
 use mikpoly::telemetry::{render_blackbox, SloPolicy, Telemetry};
 use mikpoly::{
     BatchingOptions, BreakerPolicy, Disposition, Engine, MikPoly, OfflineOptions, OnlineOptions,
-    Request, ServingOptions, ServingRuntime, Snapshotter, TemplateKind, TenantPolicy, TenantQuota,
+    Request, ServingOptions, ServingReport, ServingRuntime, Snapshotter, TemplateKind,
+    TenantPolicy, TenantQuota,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -477,47 +478,29 @@ fn serve(machine: MachineModel, args: &[String], mode: ServeMode) {
     }
 }
 
-/// Replays a GEMM stream under a deterministic fault plan and admission
-/// control, prints the disposition table, and exits non-zero when the
-/// exhaustive-disposition invariant is violated. CI runs this with fixed
-/// seeds as the chaos smoke.
-fn chaos(machine: MachineModel, args: &[String]) {
-    let n_requests: usize = parsed_flag(args, "--requests").unwrap_or(48);
-    let workers: usize = parsed_flag(args, "--workers").unwrap_or(4);
-    let seed: u64 = parsed_flag(args, "--seed").unwrap_or(7);
-    let fault_rate: f64 = parsed_flag(args, "--fault-rate").unwrap_or(0.05);
-    let stall_ns: u64 = parsed_flag(args, "--stall-ns").unwrap_or(200_000);
-    let queue_capacity: Option<usize> = parsed_flag(args, "--queue-capacity");
-    let deadline_us: Option<f64> = parsed_flag(args, "--deadline-us");
-    let compile_budget_us: u64 = parsed_flag(args, "--compile-budget-us").unwrap_or(20_000);
-    if n_requests == 0 || workers == 0 || !(0.0..=1.0).contains(&fault_rate) {
-        usage("chaos needs positive --requests/--workers and --fault-rate in [0, 1]");
-    }
-
+/// The fixed-seed stream `chaos` and `health` replay: tunes a fast
+/// (`n_gen` = 4) engine recording into `telemetry`, then serves
+/// `n_requests` Poisson arrivals (30 µs mean gap) cycling over eight GEMM
+/// shapes, each due `deadline_us` after its arrival when given.
+fn serve_smoke_stream(
+    machine: MachineModel,
+    telemetry: Arc<Telemetry>,
+    workers: usize,
+    options: ServingOptions,
+    n_requests: usize,
+    seed: u64,
+    deadline_us: Option<f64>,
+) -> ServingReport {
     eprintln!("offline: tuning micro-kernels for {} ...", machine.name);
     let mut offline = OfflineOptions::fast();
     offline.n_gen = 4;
-    let engine = Arc::new(Engine::offline(machine.clone(), &offline));
+    let engine = Arc::new(Engine::offline_with_telemetry(
+        machine.clone(),
+        &offline,
+        telemetry,
+    ));
     eprintln!("offline: done\n");
 
-    // One injected-fault rate drives every fault dimension; the stall
-    // dimension only participates when a stall duration is configured.
-    let plan = FaultPlan {
-        seed,
-        device_fault_rate: fault_rate,
-        search_stall_rate: if stall_ns > 0 { fault_rate * 4.0 } else { 0.0 }.min(1.0),
-        search_stall_ns: stall_ns,
-        cache_corrupt_rate: fault_rate * 2.0,
-        compile_panic_rate: fault_rate * 2.0,
-        panic_attempts: 2,
-    };
-    let options = ServingOptions {
-        queue_capacity,
-        compile_budget: Some(std::time::Duration::from_micros(compile_budget_us)),
-        breaker: Some(BreakerPolicy::default()),
-        fault_plan: Some(Arc::new(plan)),
-        ..ServingOptions::default()
-    };
     let shapes = [
         GemmShape::new(256, 256, 256),
         GemmShape::new(777, 512, 256),
@@ -548,6 +531,53 @@ fn chaos(machine: MachineModel, args: &[String]) {
     std::panic::set_hook(Box::new(|_| {}));
     let report = runtime.serve(&requests);
     std::panic::set_hook(prev_hook);
+    report
+}
+
+/// Replays a GEMM stream under a deterministic fault plan and admission
+/// control, prints the disposition table, and exits non-zero when the
+/// exhaustive-disposition invariant is violated. CI runs this with fixed
+/// seeds as the chaos smoke.
+fn chaos(machine: MachineModel, args: &[String]) {
+    let n_requests: usize = parsed_flag(args, "--requests").unwrap_or(48);
+    let workers: usize = parsed_flag(args, "--workers").unwrap_or(4);
+    let seed: u64 = parsed_flag(args, "--seed").unwrap_or(7);
+    let fault_rate: f64 = parsed_flag(args, "--fault-rate").unwrap_or(0.05);
+    let stall_ns: u64 = parsed_flag(args, "--stall-ns").unwrap_or(200_000);
+    let queue_capacity: Option<usize> = parsed_flag(args, "--queue-capacity");
+    let deadline_us: Option<f64> = parsed_flag(args, "--deadline-us");
+    let compile_budget_us: u64 = parsed_flag(args, "--compile-budget-us").unwrap_or(20_000);
+    if n_requests == 0 || workers == 0 || !(0.0..=1.0).contains(&fault_rate) {
+        usage("chaos needs positive --requests/--workers and --fault-rate in [0, 1]");
+    }
+
+    // One injected-fault rate drives every fault dimension; the stall
+    // dimension only participates when a stall duration is configured.
+    let plan = FaultPlan {
+        seed,
+        device_fault_rate: fault_rate,
+        search_stall_rate: if stall_ns > 0 { fault_rate * 4.0 } else { 0.0 }.min(1.0),
+        search_stall_ns: stall_ns,
+        cache_corrupt_rate: fault_rate * 2.0,
+        compile_panic_rate: fault_rate * 2.0,
+        panic_attempts: 2,
+    };
+    let options = ServingOptions {
+        queue_capacity,
+        compile_budget: Some(std::time::Duration::from_micros(compile_budget_us)),
+        breaker: Some(BreakerPolicy::default()),
+        fault_plan: Some(Arc::new(plan)),
+        ..ServingOptions::default()
+    };
+    let report = serve_smoke_stream(
+        machine,
+        Telemetry::disabled(),
+        workers,
+        options,
+        n_requests,
+        seed,
+        deadline_us,
+    );
 
     // The invariant under chaos: every request terminates with exactly
     // one disposition, shed reasons appear iff the request was shed, and
@@ -622,17 +652,6 @@ fn health(machine: MachineModel, args: &[String]) {
         usage("health needs positive --requests/--workers and --fault-rate in [0, 1]");
     }
 
-    eprintln!("offline: tuning micro-kernels for {} ...", machine.name);
-    let mut offline = OfflineOptions::fast();
-    offline.n_gen = 4;
-    let telemetry = Telemetry::enabled();
-    let engine = Arc::new(Engine::offline_with_telemetry(
-        machine.clone(),
-        &offline,
-        Arc::clone(&telemetry),
-    ));
-    eprintln!("offline: done\n");
-
     let options = ServingOptions {
         queue_capacity: Some(8),
         compile_budget: Some(std::time::Duration::from_micros(compile_budget_us)),
@@ -648,36 +667,15 @@ fn health(machine: MachineModel, args: &[String]) {
         }),
         ..ServingOptions::default()
     };
-    let shapes = [
-        GemmShape::new(256, 256, 256),
-        GemmShape::new(777, 512, 256),
-        GemmShape::new(1111, 999, 512),
-        GemmShape::new(64, 64, 64),
-        GemmShape::new(320, 192, 128),
-        GemmShape::new(511, 257, 96),
-        GemmShape::new(900, 300, 300),
-        GemmShape::new(128, 1024, 64),
-    ];
-    let requests: Vec<Request> = poisson_arrivals(n_requests, 30_000.0, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(id, arrival_ns)| {
-            let r = Request::single(id, arrival_ns, Operator::gemm(shapes[id % shapes.len()]));
-            match deadline_us {
-                Some(us) => r.with_deadline(arrival_ns + us * 1e3),
-                None => r,
-            }
-        })
-        .collect();
-
-    let cluster = Cluster::new(machine, workers, Interconnect::nvlink3());
-    let runtime = ServingRuntime::new(engine, cluster, workers).with_options(options);
-    // Injected compile panics are caught at the worker boundary; silence
-    // the default panic hook's backtrace spam while the stream runs.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = runtime.serve(&requests);
-    std::panic::set_hook(prev_hook);
+    let report = serve_smoke_stream(
+        machine,
+        Telemetry::enabled(),
+        workers,
+        options,
+        n_requests,
+        seed,
+        deadline_us,
+    );
 
     let policy = SloPolicy {
         compile_p99_budget_ns: Some(compile_budget_us as f64 * 1e3),

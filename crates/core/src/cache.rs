@@ -8,11 +8,12 @@
 //! wasted — a classic cache stampede. This cache fixes both:
 //!
 //! * **Sharded in-place maps** — keys hash onto [`DEFAULT_SHARDS`]
-//!   shards, each a `RwLock<HashMap>` on its own pair of cache lines. A
-//!   hit takes its shard's read lock; a miss, fill, insert, remove or
-//!   eviction is one O(1) map operation under the write lock. No
+//!   shards, each a `RwLock` over a `HashMap` on its own pair of cache
+//!   lines. A hit takes its shard's read lock; a miss, fill, insert,
+//!   remove or eviction is one map operation (plus the shard's own
+//!   eviction bookkeeping when bounded) under the write lock. No
 //!   computation and no value drop runs under a shard lock, so the lock
-//!   is held only for the map operation itself.
+//!   is held only for the bookkeeping itself.
 //! * **Single flight** — a miss installs an in-flight slot before
 //!   computing. Concurrent misses on the same key find the slot and block
 //!   on its condvar instead of re-running the computation; exactly one
@@ -23,20 +24,24 @@
 //!
 //! Counters are lock-free atomics (the hot hit counter is striped across
 //! cache lines); [`ShardedCache::stats`] snapshots them for serving
-//! telemetry, with the entry count served from an exact atomic that is
-//! maintained at fill/insert/remove/evict time — no shard scans.
+//! telemetry, with the entry count summed from the shards' exact ready
+//! counts, each maintained under its shard's lock — no map scans.
 //!
-//! An optional **capacity bound** ([`ShardedCache::bounded`]) evicts with
-//! a segmented-LRU policy: new entries enter a probation queue; an entry
-//! that was hit while resident is promoted to a protected queue at its
-//! first eviction scan (and given halved-frequency second chances there),
-//! while unreferenced entries are evicted in insertion order. Hot shapes
-//! therefore survive a churning tail instead of being FIFO-thrashed.
-//! Queue records carry a per-fill stamp, so a removed or re-inserted key
-//! leaves only a *stale* record that is skipped (never evicting the new
-//! incarnation) and periodically compacted away — the order state is
-//! bounded by a small multiple of the live entry count. Unbounded caches
-//! (the default) never touch the eviction state.
+//! An optional **capacity bound** ([`ShardedCache::bounded`]) lives inside
+//! the shards: `capacity` is split into per-shard caps that sum exactly to
+//! it, and each shard evicts by a segmented-LRU policy of its own. New
+//! entries enter the shard's probation queue; an entry that was hit while
+//! resident is promoted to its protected queue at its first eviction scan
+//! (and given halved-frequency second chances there), while unreferenced
+//! entries are evicted in insertion order. Hot shapes therefore survive a
+//! churning tail instead of being FIFO-thrashed. A fill, insert, batch
+//! insert or remove updates the map, the ready count and the queues, and
+//! evicts, under the one write lock of its shard, so the queues hold
+//! exactly the ready keys and no shard is ever seen above its cap: the
+//! bound is exact at every instant, not only at quiescence. The price is
+//! that the order is per shard — a full shard evicts even while others
+//! have room — which costs a Zipfian churn well under a point of hit
+//! rate. Unbounded caches (the default) keep no queues.
 //!
 //! Failure story: a computing closure that returns `Err` (or panics) never
 //! caches its result — the in-flight slot is cleared, waiters are woken,
@@ -57,7 +62,8 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 /// Default shard count: enough to make cross-shard lock collisions rare
 /// at serving-realistic thread counts, small enough that the padded
-/// shards (128 bytes each) and the full scans of `len` stay cheap.
+/// shards (128 bytes each) and the per-shard sums of `stats` stay cheap.
+/// A bounded cache uses at most one shard per unit of capacity.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Stripes of the hot hit counter (each on its own cache line).
@@ -197,24 +203,13 @@ enum FlightState<V> {
     Abandoned,
 }
 
-/// Identity and hotness of one ready entry. Shared (via `Arc`) by the
-/// shard map and the eviction state, so the eviction scan reads the
-/// frequency that hits record without taking a shard lock.
-struct EntryMeta {
-    /// Fill stamp: globally unique per (key, fill). Eviction-queue records
-    /// carry the stamp they were enqueued with, which is how a record left
-    /// behind by `remove` + re-`insert` is recognized as stale instead of
-    /// prematurely evicting the key's new incarnation.
-    stamp: u64,
-    /// Lookup hits since the entry was filled (or last promoted); drives
-    /// the segmented-LRU promotion decision.
-    freq: AtomicU32,
-}
-
-/// A ready cache entry: the value plus its eviction metadata.
+/// A ready cache entry: the value plus its hotness.
 struct ReadyEntry<V> {
     value: Arc<V>,
-    meta: Arc<EntryMeta>,
+    /// Lookup hits since the entry was filled (or last promoted); drives
+    /// the segmented-LRU promotion decision. Atomic so that hits, which
+    /// hold only the shard's read lock, can record it.
+    freq: AtomicU32,
 }
 
 enum Slot<V> {
@@ -223,22 +218,18 @@ enum Slot<V> {
 }
 
 /// One cache-line-padded counter cell.
+#[derive(Default)]
 #[repr(align(64))]
 struct PaddedU64(AtomicU64);
 
 /// A counter striped across cache lines so 8 threads hammering the hit
 /// path don't serialize on one line. `sum` folds the stripes.
+#[derive(Default)]
 struct StripedU64 {
     cells: [PaddedU64; HIT_STRIPES],
 }
 
 impl StripedU64 {
-    fn new() -> Self {
-        Self {
-            cells: std::array::from_fn(|_| PaddedU64(AtomicU64::new(0))),
-        }
-    }
-
     #[inline]
     fn add(&self, stripe: usize, n: u64) {
         self.cells[stripe & (HIT_STRIPES - 1)]
@@ -251,6 +242,7 @@ impl StripedU64 {
     }
 }
 
+#[derive(Default)]
 struct Counters {
     hits: StripedU64,
     misses: AtomicU64,
@@ -259,27 +251,6 @@ struct Counters {
     direct_inserts: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
-    /// Exact count of ready entries, maintained at fill/insert/remove/
-    /// evict time — `stats()` and capacity checks never scan the shards.
-    ready: AtomicUsize,
-    /// Fill-stamp source for [`EntryMeta::stamp`].
-    stamp: AtomicU64,
-}
-
-impl Counters {
-    fn new() -> Self {
-        Self {
-            hits: StripedU64::new(),
-            misses: AtomicU64::new(0),
-            computations: AtomicU64::new(0),
-            coalesced_waits: AtomicU64::new(0),
-            direct_inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            ready: AtomicUsize::new(0),
-            stamp: AtomicU64::new(0),
-        }
-    }
 }
 
 thread_local! {
@@ -290,14 +261,108 @@ thread_local! {
     };
 }
 
-/// One shard's map, mutated in place under its reader–writer lock.
+/// One shard, mutated in place under its reader–writer lock.
 ///
 /// Aligned to 128 bytes so no two shards' lock words share a cache line
 /// (or the adjacent line the hardware prefetches with it): readers of
 /// neighbouring shards then never contend on one line.
 #[repr(align(128))]
 struct Shard<K, V> {
-    map: RwLock<HashMap<K, Slot<V>>>,
+    state: RwLock<ShardState<K, V>>,
+}
+
+/// Everything one shard lock guards: the map, its exact ready count and,
+/// when bounded, the segmented-LRU queues, which hold exactly the ready
+/// keys (unbounded shards leave them empty).
+struct ShardState<K, V> {
+    /// Most ready entries the shard holds; `None` when unbounded.
+    cap: Option<usize>,
+    map: HashMap<K, Slot<V>>,
+    /// Number of [`Slot::Ready`] entries in `map`.
+    ready: usize,
+    /// Probation segment, oldest first: entries that have not earned a
+    /// promotion.
+    probation: VecDeque<K>,
+    /// Protected segment, oldest first: entries hit while resident.
+    protected: VecDeque<K>,
+}
+
+impl<K: Eq + Hash + Clone, V> ShardState<K, V> {
+    /// Installs a ready entry for `key`, queueing it at the probation tail
+    /// when bounded unless it replaced a ready entry (which keeps its
+    /// queue position). Returns the replaced slot, for the caller to drop
+    /// after the lock is released.
+    fn fill(&mut self, key: K, value: Arc<V>) -> Option<Slot<V>> {
+        let entry = ReadyEntry {
+            value,
+            freq: AtomicU32::new(0),
+        };
+        let queued = self.cap.is_some().then(|| key.clone());
+        let replaced = self.map.insert(key, Slot::Ready(entry));
+        if !matches!(replaced, Some(Slot::Ready(_))) {
+            self.ready += 1;
+            self.probation.extend(queued);
+        }
+        replaced
+    }
+
+    /// Removes `key`'s ready entry, if any, from the map and the queues.
+    /// An in-flight slot is left alone.
+    fn remove_ready(&mut self, key: &K) -> Option<Slot<V>> {
+        if !matches!(self.map.get(key), Some(Slot::Ready(_))) {
+            return None;
+        }
+        self.ready -= 1;
+        self.probation.retain(|k| k != key);
+        self.protected.retain(|k| k != key);
+        self.map.remove(key)
+    }
+
+    /// The segmented-LRU eviction scan, trimming the shard to its cap and
+    /// moving victims into `evicted`; returns how many it evicted.
+    /// Victims come from the probation queue first (insertion order); an
+    /// entry that was hit while resident is promoted to the protected
+    /// queue on its first scan instead of dying, and protected entries
+    /// earn halved-frequency second chances. The scan budget (one full
+    /// pass over the queues) guarantees termination even when everything
+    /// is hot: once it runs out, the next queued entry is evicted
+    /// regardless.
+    fn evict(&mut self, evicted: &mut Vec<Slot<V>>) -> u64 {
+        let cap = self.cap.unwrap_or(usize::MAX);
+        let mut budget = self.probation.len() + self.protected.len();
+        let mut count = 0;
+        while self.ready > cap {
+            let forced = budget == 0;
+            budget = budget.saturating_sub(1);
+            let from_probation = !self.probation.is_empty();
+            // `None` is unreachable: the queues hold every ready key.
+            let Some(key) = self
+                .probation
+                .pop_front()
+                .or_else(|| self.protected.pop_front())
+            else {
+                break;
+            };
+            // Always a ready entry: queued keys are exactly the ready ones.
+            let Some(Slot::Ready(entry)) = self.map.get(&key) else {
+                continue;
+            };
+            let freq = entry.freq.load(Ordering::Relaxed);
+            if !forced && freq > 0 {
+                // Promote (probation → protected) or rotate (protected)
+                // with decayed frequency instead of evicting a hot entry.
+                entry
+                    .freq
+                    .store(if from_probation { 0 } else { freq / 2 }, Ordering::Relaxed);
+                self.protected.push_back(key);
+                continue;
+            }
+            evicted.extend(self.map.remove(&key));
+            self.ready -= 1;
+            count += 1;
+        }
+        count
+    }
 }
 
 /// What a lookup found: a ready value (already counted as a hit) or a
@@ -305,54 +370,6 @@ struct Shard<K, V> {
 enum Found<V> {
     Ready(Arc<V>),
     InFlight(Arc<Flight<V>>),
-}
-
-/// One eviction-order record: the key plus the fill stamp it was enqueued
-/// for. A record whose stamp no longer matches the key's live entry is
-/// stale (the entry was removed or replaced) and is skipped.
-struct OrderRecord<K> {
-    key: K,
-    stamp: u64,
-}
-
-/// Capacity-bound bookkeeping, touched only on the write path (fills,
-/// direct inserts, removes, evictions) and only when the cache is
-/// bounded. The hit path never takes this lock.
-struct EvictionState<K> {
-    /// Probation segment: entries that have not earned a promotion.
-    probation: VecDeque<OrderRecord<K>>,
-    /// Protected segment: entries hit while resident.
-    protected: VecDeque<OrderRecord<K>>,
-    /// Live stamp + frequency per resident key — lets the eviction scan
-    /// test staleness and hotness without touching any shard.
-    live: HashMap<K, Arc<EntryMeta>>,
-}
-
-impl<K: Eq + Hash + Clone> EvictionState<K> {
-    fn new() -> Self {
-        Self {
-            probation: VecDeque::new(),
-            protected: VecDeque::new(),
-            live: HashMap::new(),
-        }
-    }
-
-    fn order_len(&self) -> usize {
-        self.probation.len() + self.protected.len()
-    }
-
-    /// Drops stale records once the queues exceed a small multiple of the
-    /// live count — this is the bound that the FIFO order list lacked
-    /// (remove/re-insert used to leak a dead record forever).
-    fn compact(&mut self) {
-        if self.order_len() <= 2 * self.live.len() + 64 {
-            return;
-        }
-        let live = &self.live;
-        let keep = |r: &OrderRecord<K>| live.get(&r.key).is_some_and(|m| m.stamp == r.stamp);
-        self.probation.retain(keep);
-        self.protected.retain(keep);
-    }
 }
 
 /// Removes the in-flight slot and wakes waiters if the computation never
@@ -369,10 +386,10 @@ impl<K: Eq + Hash + Clone, V> Drop for FlightGuard<'_, K, V> {
     fn drop(&mut self) {
         if let Some(key) = self.key.take() {
             {
-                let mut map = self.shard.map.write();
-                if matches!(map.get(&key), Some(Slot::InFlight(f)) if Arc::ptr_eq(f, &self.flight))
+                let mut state = self.shard.state.write();
+                if matches!(state.map.get(&key), Some(Slot::InFlight(f)) if Arc::ptr_eq(f, &self.flight))
                 {
-                    map.remove(&key);
+                    state.map.remove(&key);
                 }
             }
             *self.flight.state.lock() = FlightState::Abandoned;
@@ -382,15 +399,14 @@ impl<K: Eq + Hash + Clone, V> Drop for FlightGuard<'_, K, V> {
 }
 
 /// A sharded map from keys to `Arc`'d values with read-locked hits,
-/// single-flight fills, and an optional segmented-LRU capacity bound.
+/// single-flight fills, and an optional per-shard segmented-LRU capacity
+/// bound.
 pub struct ShardedCache<K, V> {
     shards: Vec<Shard<K, V>>,
     counters: Counters,
-    /// Maximum ready entries; `None` means unbounded (no order tracking).
+    /// Maximum ready entries (the sum of the shard caps); `None` means
+    /// unbounded (no queues are kept).
     capacity: Option<usize>,
-    /// Segmented-LRU order state; only touched when `capacity` is set,
-    /// and only by the write path.
-    eviction: Mutex<EvictionState<K>>,
 }
 
 impl<K, V> ShardedCache<K, V>
@@ -400,38 +416,41 @@ where
 {
     /// A cache with [`DEFAULT_SHARDS`] shards and no capacity bound.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        Self::with_caps(vec![None; DEFAULT_SHARDS], None)
     }
 
-    /// A cache with an explicit shard count (power of two recommended).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_capacity(shards, None)
-    }
-
-    /// A cache holding at most `capacity` ready entries; once over the
-    /// bound, the segmented-LRU policy evicts unreferenced entries in
-    /// insertion order and gives hit-while-resident entries a protected
-    /// second life. A `capacity` of zero is treated as one — an empty
-    /// bound would evict every fill before its caller returned.
+    /// A cache holding at most `capacity` ready entries, split over
+    /// `min(DEFAULT_SHARDS, capacity)` shards whose caps sum exactly to
+    /// `capacity`. A shard over its cap evicts by the segmented-LRU
+    /// policy: unreferenced entries go in insertion order, and entries hit
+    /// while resident get a protected second life. A `capacity` of zero is
+    /// treated as one — an empty bound would evict every fill before its
+    /// caller returned.
     pub fn bounded(capacity: usize) -> Self {
-        Self::with_shards_and_capacity(DEFAULT_SHARDS, Some(capacity.max(1)))
+        let capacity = capacity.max(1);
+        let shards = DEFAULT_SHARDS.min(capacity);
+        let caps = (0..shards)
+            .map(|i| Some(capacity / shards + usize::from(i < capacity % shards)))
+            .collect();
+        Self::with_caps(caps, Some(capacity))
     }
 
-    fn with_shards_and_capacity(shards: usize, capacity: Option<usize>) -> Self {
-        assert!(shards > 0, "cache needs at least one shard");
+    fn with_caps(caps: Vec<Option<usize>>, capacity: Option<usize>) -> Self {
         Self {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    map: RwLock::new(HashMap::new()),
+            shards: caps
+                .into_iter()
+                .map(|cap| Shard {
+                    state: RwLock::new(ShardState {
+                        cap,
+                        map: HashMap::new(),
+                        ready: 0,
+                        probation: VecDeque::new(),
+                        protected: VecDeque::new(),
+                    }),
                 })
                 .collect(),
-            counters: Counters::new(),
+            counters: Counters::default(),
             capacity,
-            eviction: Mutex::new(EvictionState::new()),
         }
     }
 
@@ -450,55 +469,50 @@ where
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    /// Looks `key` up in a locked shard map, counting a ready entry as a
-    /// hit. Callers pass the guard as a temporary, so the lock is released
+    /// Looks `key` up in a locked shard, counting a ready entry as a hit.
+    /// Callers pass the guard as a temporary, so the lock is released
     /// before they act on the result (awaiting a flight in particular).
-    fn find(&self, map: &HashMap<K, Slot<V>>, key: &K) -> Option<Found<V>> {
-        match map.get(key)? {
+    fn find(&self, state: &ShardState<K, V>, key: &K) -> Option<Found<V>> {
+        match state.map.get(key)? {
             Slot::Ready(e) => {
-                self.note_hit(&e.meta);
+                self.note_hit(e);
                 Some(Found::Ready(Arc::clone(&e.value)))
             }
             Slot::InFlight(f) => Some(Found::InFlight(Arc::clone(f))),
         }
     }
 
-    fn note_hit(&self, meta: &EntryMeta) {
+    fn note_hit(&self, entry: &ReadyEntry<V>) {
         // Thread-local storage is gone only during thread teardown.
         let stripe = HIT_STRIPE.try_with(|s| *s).unwrap_or(0);
         self.counters.hits.add(stripe, 1);
-        if self.capacity.is_some() && meta.freq.load(Ordering::Relaxed) < FREQ_CEILING {
-            meta.freq.fetch_add(1, Ordering::Relaxed);
+        if self.capacity.is_some() && entry.freq.load(Ordering::Relaxed) < FREQ_CEILING {
+            entry.freq.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn new_entry(&self, value: Arc<V>) -> ReadyEntry<V> {
-        ReadyEntry {
-            value,
-            meta: Arc::new(EntryMeta {
-                stamp: self.counters.stamp.fetch_add(1, Ordering::Relaxed) + 1,
-                freq: AtomicU32::new(0),
-            }),
+    /// Installs ready entries in `shard` and trims it back to its cap, all
+    /// under one write lock, so the shard never shows more than its cap.
+    /// Replaced and evicted values are dropped after the lock is released.
+    fn commit(&self, shard: &Shard<K, V>, entries: impl IntoIterator<Item = (K, Arc<V>)>) {
+        let mut displaced = Vec::new();
+        let evicted = {
+            let mut state = shard.state.write();
+            for (key, value) in entries {
+                displaced.extend(state.fill(key, value));
+            }
+            state.evict(&mut displaced)
+        };
+        if evicted > 0 {
+            self.counters
+                .evictions
+                .fetch_add(evicted, Ordering::Relaxed);
         }
-    }
-
-    /// Installs a ready entry for `key` and counts it in `ready` unless it
-    /// replaced one. Returns the entry's metadata for the eviction state.
-    fn commit(&self, shard: &Shard<K, V>, key: &K, value: Arc<V>) -> Arc<EntryMeta> {
-        let entry = self.new_entry(value);
-        let meta = Arc::clone(&entry.meta);
-        // Bound outside the guard's statement, so a replaced value is
-        // dropped after the write lock is released.
-        let replaced = shard.map.write().insert(key.clone(), Slot::Ready(entry));
-        if !matches!(replaced, Some(Slot::Ready(_))) {
-            self.counters.ready.fetch_add(1, Ordering::Relaxed);
-        }
-        meta
     }
 
     /// Looks `key` up without filling; counts as a hit when present.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        match self.find(&self.shard(key).map.read(), key) {
+        match self.find(&self.shard(key).state.read(), key) {
             Some(Found::Ready(v)) => Some(v),
             _ => None,
         }
@@ -528,7 +542,7 @@ where
         let shard = self.shard(key);
         // Fast path under the read lock: a ready hit returns directly; a
         // visible in-flight slot is awaited after the lock is released.
-        let found = self.find(&shard.map.read(), key);
+        let found = self.find(&shard.state.read(), key);
         match found {
             Some(Found::Ready(v)) => return Ok((v, CacheOutcome::Hit)),
             Some(Found::InFlight(flight)) => {
@@ -542,11 +556,11 @@ where
         loop {
             // Decide this thread's role under the shard's write lock…
             let flight = {
-                let mut map = shard.map.write();
-                match self.find(&map, key) {
+                let mut state = shard.state.write();
+                match self.find(&state, key) {
                     Some(Found::Ready(v)) => return Ok((v, CacheOutcome::Hit)),
                     Some(Found::InFlight(flight)) => {
-                        drop(map);
+                        drop(state);
                         match self.await_flight(&flight) {
                             Some(v) => return Ok((v, CacheOutcome::Waited)),
                             // Computing thread panicked or failed: retry
@@ -560,7 +574,9 @@ where
                             state: Mutex::new(FlightState::Pending),
                             ready: Condvar::new(),
                         });
-                        map.insert(key.clone(), Slot::InFlight(Arc::clone(&flight)));
+                        state
+                            .map
+                            .insert(key.clone(), Slot::InFlight(Arc::clone(&flight)));
                         flight
                     }
                 }
@@ -575,11 +591,10 @@ where
             };
             let value = Arc::new(compute()?);
             guard.key = None; // disarm: the fill is committing
-            let meta = self.commit(shard, key, Arc::clone(&value));
+            self.commit(shard, [(key.clone(), Arc::clone(&value))]);
             *flight.state.lock() = FlightState::Done(Arc::clone(&value));
             flight.ready.notify_all();
             self.counters.computations.fetch_add(1, Ordering::Relaxed);
-            self.register_fill(key, &meta);
             return Ok((value, CacheOutcome::Computed));
         }
     }
@@ -589,33 +604,13 @@ where
     /// slot is left alone: its leader still owns the fill and its waiters
     /// its condvar.
     pub fn remove(&self, key: &K) -> bool {
-        let removed = {
-            let mut map = self.shard(key).map.write();
-            match map.get(key) {
-                Some(Slot::Ready(_)) => map.remove(key),
-                _ => None,
-            }
-        };
-        let Some(Slot::Ready(entry)) = removed else {
+        // Bound outside the guard's statement, so the removed value is
+        // dropped after the write lock is released.
+        let removed = self.shard(key).state.write().remove_ready(key);
+        if removed.is_none() {
             return false;
-        };
-        self.counters.ready.fetch_sub(1, Ordering::Relaxed);
-        self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
-        if self.capacity.is_some() {
-            let mut ev = self.eviction.lock();
-            // Drop the live record only for *this* incarnation: a racing
-            // re-fill may already have registered a newer stamp. The
-            // order record goes stale and is skipped/compacted later —
-            // never evicting the new incarnation (the stale-order fix).
-            if ev
-                .live
-                .get(key)
-                .is_some_and(|m| m.stamp == entry.meta.stamp)
-            {
-                ev.live.remove(key);
-            }
-            ev.compact();
         }
+        self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -637,144 +632,23 @@ where
     /// Inserts a ready value, replacing any previous entry.
     pub fn insert(&self, key: K, value: Arc<V>) {
         self.counters.direct_inserts.fetch_add(1, Ordering::Relaxed);
-        let meta = self.commit(self.shard(&key), &key, value);
-        self.register_fill(&key, &meta);
+        self.commit(self.shard(&key), [(key, value)]);
     }
 
     /// Bulk [`ShardedCache::insert`]: groups the batch by shard so each
-    /// shard's write lock is taken **once** for all of its entries, and
-    /// the eviction state is updated once for the whole batch.
+    /// shard's write lock is taken **once** for all of its entries.
     pub fn insert_many(&self, entries: impl IntoIterator<Item = (K, Arc<V>)>) {
-        let mut by_shard: Vec<Vec<(K, ReadyEntry<V>)>> =
+        let mut by_shard: Vec<Vec<(K, Arc<V>)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         let mut n = 0u64;
         for (key, value) in entries {
-            let idx = self.shard_index(&key);
-            by_shard[idx].push((key, self.new_entry(value)));
+            by_shard[self.shard_index(&key)].push((key, value));
             n += 1;
         }
-        if n == 0 {
-            return;
-        }
         self.counters.direct_inserts.fetch_add(n, Ordering::Relaxed);
-        let mut registered: Vec<(K, Arc<EntryMeta>)> = Vec::new();
-        for (idx, batch) in by_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut added = 0usize;
-            let mut map = self.shards[idx].map.write();
-            for (key, entry) in batch {
-                if self.capacity.is_some() {
-                    registered.push((key.clone(), Arc::clone(&entry.meta)));
-                }
-                if !matches!(map.insert(key, Slot::Ready(entry)), Some(Slot::Ready(_))) {
-                    added += 1;
-                }
-            }
-            drop(map);
-            self.counters.ready.fetch_add(added, Ordering::Relaxed);
-        }
-        if let Some(capacity) = self.capacity {
-            let mut ev = self.eviction.lock();
-            for (key, meta) in registered {
-                if !self.is_current(&key, meta.stamp) {
-                    continue;
-                }
-                ev.probation.push_back(OrderRecord {
-                    key: key.clone(),
-                    stamp: meta.stamp,
-                });
-                ev.live.insert(key, meta);
-            }
-            self.evict_to_capacity(&mut ev, capacity);
-            ev.compact();
-        }
-    }
-
-    /// Registers a completed fill with the eviction state and trims back
-    /// to capacity. No-op when unbounded (the default never takes the
-    /// order lock). Lock order is eviction-state → shard; no caller holds
-    /// a shard lock while acquiring the eviction lock, so the two cannot
-    /// deadlock.
-    fn register_fill(&self, key: &K, meta: &Arc<EntryMeta>) {
-        let Some(capacity) = self.capacity else {
-            return;
-        };
-        let mut ev = self.eviction.lock();
-        if self.is_current(key, meta.stamp) {
-            ev.live.insert(key.clone(), Arc::clone(meta));
-            ev.probation.push_back(OrderRecord {
-                key: key.clone(),
-                stamp: meta.stamp,
-            });
-        }
-        self.evict_to_capacity(&mut ev, capacity);
-        ev.compact();
-    }
-
-    /// Whether the fill stamped `stamp` is still `key`'s ready entry.
-    /// Registration checks this under the eviction lock: between a
-    /// fill's commit and its registration a `remove` (and a re-fill) may
-    /// have run, and registering the stale stamp would leave `live`
-    /// naming an entry the shard no longer holds. A later fill registers
-    /// itself.
-    fn is_current(&self, key: &K, stamp: u64) -> bool {
-        matches!(self.shard(key).map.read().get(key), Some(Slot::Ready(e)) if e.meta.stamp == stamp)
-    }
-
-    /// The segmented-LRU eviction scan. Victims come from the probation
-    /// queue first (insertion order); an entry that was hit while
-    /// resident is promoted to the protected queue on its first scan
-    /// instead of dying, and protected entries earn halved-frequency
-    /// second chances. The scan budget (one full pass over the order
-    /// records) guarantees termination even when everything is hot: once
-    /// it runs out, the next live record is evicted regardless.
-    fn evict_to_capacity(&self, ev: &mut EvictionState<K>, capacity: usize) {
-        let mut budget = ev.order_len();
-        while self.counters.ready.load(Ordering::Relaxed) > capacity {
-            let forced = budget == 0;
-            let (record, from_probation) = if let Some(r) = ev.probation.pop_front() {
-                (r, true)
-            } else if let Some(r) = ev.protected.pop_front() {
-                (r, false)
-            } else {
-                // Entries committed but not yet registered (a racing
-                // fill) can leave `ready` transiently above the bound;
-                // their own registration will re-run this scan.
-                break;
-            };
-            budget = budget.saturating_sub(1);
-            let meta = match ev.live.get(&record.key) {
-                Some(m) if m.stamp == record.stamp => Arc::clone(m),
-                // Stale record (key removed or re-filled since it was
-                // enqueued): drop it without counting an eviction.
-                _ => continue,
-            };
-            let freq = meta.freq.load(Ordering::Relaxed);
-            if !forced && freq > 0 {
-                // Promote (probation → protected) or rotate (protected)
-                // with decayed frequency instead of evicting a hot entry.
-                meta.freq
-                    .store(if from_probation { 0 } else { freq / 2 }, Ordering::Relaxed);
-                ev.protected.push_back(record);
-                continue;
-            }
-            // Evict under the victim shard's write lock, re-checking
-            // identity by stamp: a concurrent remove + re-fill of the key
-            // must never have its *new* entry evicted by this record. The
-            // victim is dropped after the lock is released.
-            let evicted = {
-                let mut map = self.shard(&record.key).map.write();
-                match map.get(&record.key) {
-                    Some(Slot::Ready(e)) if e.meta.stamp == record.stamp => map.remove(&record.key),
-                    _ => None,
-                }
-            };
-            ev.live.remove(&record.key);
-            if evicted.is_some() {
-                self.counters.ready.fetch_sub(1, Ordering::Relaxed);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+        for (shard, batch) in self.shards.iter().zip(by_shard) {
+            if !batch.is_empty() {
+                self.commit(shard, batch);
             }
         }
     }
@@ -784,23 +658,31 @@ where
     pub fn snapshot(&self) -> Vec<Arc<V>> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(shard.map.read().values().filter_map(|slot| match slot {
-                Slot::Ready(e) => Some(Arc::clone(&e.value)),
-                Slot::InFlight(_) => None,
-            }));
+            out.extend(
+                shard
+                    .state
+                    .read()
+                    .map
+                    .values()
+                    .filter_map(|slot| match slot {
+                        Slot::Ready(e) => Some(Arc::clone(&e.value)),
+                        Slot::InFlight(_) => None,
+                    }),
+            );
         }
         out
     }
 
-    /// Number of ready entries, counted by scanning the shards — the
-    /// ground truth the [`ShardedCache::ready_entries`] atomic is tested
-    /// against. Prefer `ready_entries` (O(1)) on hot paths.
+    /// Number of ready entries, counted by scanning the shard maps — the
+    /// ground truth the maintained counts of
+    /// [`ShardedCache::ready_entries`] are tested against.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
-                s.map
+                s.state
                     .read()
+                    .map
                     .values()
                     .filter(|slot| matches!(slot, Slot::Ready(_)))
                     .count()
@@ -808,9 +690,11 @@ where
             .sum()
     }
 
-    /// Exact ready-entry count from the maintained atomic (no scans).
+    /// Ready-entry count from the shards' maintained counts (no map
+    /// scans). Each shard is read under its own lock, at a moment when it
+    /// holds at most its cap, so the sum never exceeds the capacity.
     pub fn ready_entries(&self) -> usize {
-        self.counters.ready.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.state.read().ready).sum()
     }
 
     /// Whether the cache holds no ready entries.
@@ -818,8 +702,7 @@ where
         self.ready_entries() == 0
     }
 
-    /// Snapshots the counters. `entries` comes from the maintained atomic
-    /// ready count — this never scans the shards.
+    /// Snapshots the counters; `entries` is [`ShardedCache::ready_entries`].
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.counters.hits.sum(),
@@ -829,44 +712,50 @@ where
             direct_inserts: self.counters.direct_inserts.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             invalidations: self.counters.invalidations.load(Ordering::Relaxed),
-            entries: self.counters.ready.load(Ordering::Relaxed) as u64,
+            entries: self.ready_entries() as u64,
         }
     }
 
-    /// Checks the cache's structural invariants, intended for tests and
-    /// the `cache-bench` smoke at quiescence (no concurrent mutators):
-    /// the atomic ready count equals a full scan, and when bounded, the
-    /// order state is consistent with and bounded by the live entries.
+    /// Checks each shard's structural invariants, intended for tests and
+    /// the `cache-bench` smoke: the ready count equals a scan of the map
+    /// and is at most the shard's cap, and the queues hold exactly the
+    /// ready keys, each once (empty when unbounded). Each shard is checked
+    /// under its read lock, so the check is sound under concurrent
+    /// mutators too.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let scanned = self.len();
-        let ready = self.ready_entries();
-        if scanned != ready {
-            return Err(format!(
-                "ready-entry counter {ready} != scanned entry count {scanned}"
-            ));
-        }
-        if let Some(capacity) = self.capacity {
-            if ready > capacity {
-                return Err(format!("{ready} ready entries exceed capacity {capacity}"));
-            }
-            let ev = self.eviction.lock();
-            if ev.live.len() != ready {
-                return Err(format!(
-                    "live-stamp index holds {} keys for {ready} ready entries",
-                    ev.live.len()
-                ));
-            }
-            let bound = 2 * ev.live.len() + 64 + 1;
-            if ev.order_len() > bound {
-                return Err(format!(
-                    "order queues hold {} records, over the compaction bound {bound}",
-                    ev.order_len()
-                ));
-            }
+        for (i, shard) in self.shards.iter().enumerate() {
+            let s = shard.state.read();
+            let scanned = s
+                .map
+                .values()
+                .filter(|slot| matches!(slot, Slot::Ready(_)))
+                .count();
+            let queued = s.probation.len() + s.protected.len();
+            let distinct: std::collections::HashSet<&K> =
+                s.probation.iter().chain(&s.protected).collect();
+            let problem = if s.ready != scanned {
+                format!("ready count {} != scanned entry count {scanned}", s.ready)
+            } else if s.cap.is_some_and(|cap| s.ready > cap) {
+                format!("{} ready entries exceed its cap {:?}", s.ready, s.cap)
+            } else if queued != if s.cap.is_some() { s.ready } else { 0 }
+                || distinct.len() != queued
+                || distinct
+                    .iter()
+                    .any(|k| !matches!(s.map.get(*k), Some(Slot::Ready(_))))
+            {
+                format!(
+                    "queues hold {queued} records ({} distinct) for {} ready entries",
+                    distinct.len(),
+                    s.ready
+                )
+            } else {
+                continue;
+            };
+            return Err(format!("shard {i}: {problem}"));
         }
         Ok(())
     }
@@ -1129,19 +1018,44 @@ mod tests {
     }
 
     #[test]
+    fn bounded_caps_split_the_capacity_exactly() {
+        for capacity in [1usize, 4, 16, 17, 32, 2048, 2050] {
+            let cache: ShardedCache<u64, u64> = ShardedCache::bounded(capacity);
+            let caps: Vec<usize> = cache
+                .shards
+                .iter()
+                .filter_map(|s| s.state.read().cap)
+                .collect();
+            assert_eq!(caps.len(), DEFAULT_SHARDS.min(capacity), "{capacity}");
+            assert_eq!(caps.iter().sum::<usize>(), capacity, "{capacity}");
+            let (lo, hi) = (caps.iter().min().unwrap(), caps.iter().max().unwrap());
+            assert!(hi - lo <= 1, "{capacity}: uneven caps {caps:?}");
+        }
+        assert!(ShardedCache::<u64, u64>::new().shards.iter().all(|s| s
+            .state
+            .read()
+            .cap
+            .is_none()));
+    }
+
+    #[test]
     fn bounded_cache_keeps_newest_entries() {
         // Without any hits, the segmented-LRU policy degenerates to
-        // insertion order: the newest entries survive.
+        // insertion order within each shard: every shard keeps its newest
+        // entries up to its cap (here 4 shards of one entry each).
         let cache: ShardedCache<u64, u64> = ShardedCache::bounded(4);
         for k in 0..32 {
             cache.insert(k, Arc::new(k));
         }
-        assert_eq!(cache.len(), 4);
-        for k in 28..32 {
-            assert!(cache.get(&k).is_some(), "key {k} should survive");
+        let mut newest = vec![None; cache.shards.len()];
+        for k in 0..32 {
+            newest[cache.shard_index(&k)] = Some(k);
         }
-        for k in 0..28 {
-            assert!(cache.get(&k).is_none(), "key {k} should be evicted");
+        assert!(newest.iter().all(Option::is_some), "a shard got no key");
+        assert_eq!(cache.len(), 4);
+        for k in 0..32 {
+            let survives = newest.contains(&Some(k));
+            assert_eq!(cache.get(&k).is_some(), survives, "key {k}");
         }
         assert_eq!(cache.stats().evictions, 28);
         cache.check_invariants().expect("invariants");
@@ -1169,36 +1083,43 @@ mod tests {
     }
 
     #[test]
-    fn stale_order_records_do_not_leak_or_evict_reinserted_keys() {
+    fn remove_and_reinsert_never_evicts_or_leaks_queue_records() {
         // Regression for the FIFO-order leak: an invalidate/re-insert
         // loop used to grow the order list without bound, and the stale
-        // front records could evict a re-inserted key prematurely.
+        // front records could evict a re-inserted key prematurely. Here
+        // the cache is exactly full (one key per shard of cap 1) for the
+        // whole loop.
         let cache: ShardedCache<u64, u64> = ShardedCache::bounded(8);
-        for k in 0..8 {
+        let mut keys = vec![None; cache.shards.len()];
+        for k in 0.. {
+            let slot = &mut keys[cache.shard_index(&k)];
+            if slot.is_none() {
+                *slot = Some(k);
+                if keys.iter().all(Option::is_some) {
+                    break;
+                }
+            }
+        }
+        let keys: Vec<u64> = keys.into_iter().flatten().collect();
+        for &k in &keys {
             cache.insert(k, Arc::new(k));
         }
         for round in 0..1000u64 {
-            let k = round % 8;
+            let k = keys[round as usize % keys.len()];
             assert!(cache.remove(&k), "round {round}: live entry removed");
             cache.insert(k, Arc::new(k + round));
         }
         // Survivor set: exactly the 8 keys, all at their newest values.
         assert_eq!(cache.len(), 8);
-        for k in 0..8 {
+        for &k in &keys {
             assert!(cache.get(&k).is_some(), "key {k} must survive the churn");
         }
-        // No evictions ever happened — the cache never exceeded capacity,
-        // so any eviction would have been a stale-record bug.
+        // No evictions ever happened — no shard ever exceeded its cap, so
+        // any eviction would have been a stale-record bug.
         let stats = cache.stats();
-        assert_eq!(stats.evictions, 0, "stale records must not evict");
+        assert_eq!(stats.evictions, 0, "removed keys must not evict");
         assert_eq!(stats.invalidations, 1000);
-        // The order state stayed bounded (the old design held 1008 dead
-        // records here; compaction keeps it near the live count).
-        let order_len = cache.eviction.lock().order_len();
-        assert!(
-            order_len <= 2 * 8 + 64 + 1,
-            "order list leaked: {order_len} records for 8 live entries"
-        );
+        // The queues hold exactly the 8 ready keys, once each.
         cache.check_invariants().expect("invariants");
     }
 
@@ -1287,14 +1208,14 @@ mod tests {
 
     #[test]
     fn keys_spread_across_shards() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::with_shards(16);
+        let cache: ShardedCache<u64, u64> = ShardedCache::new();
         for k in 0..256 {
             cache.insert(k, Arc::new(k));
         }
         let occupied = cache
             .shards
             .iter()
-            .filter(|s| !s.map.read().is_empty())
+            .filter(|s| !s.state.read().map.is_empty())
             .count();
         assert!(occupied >= 12, "only {occupied}/16 shards occupied");
     }

@@ -51,11 +51,13 @@ pub struct OnlineOptions {
     /// reproduction matches the paper's pattern set).
     pub split_k: bool,
     /// Bound on the number of cached compiled programs; `None` (the
-    /// default) keeps every program. With a bound, a segmented-LRU policy
-    /// evicts unreferenced programs in insertion order while shapes that
-    /// were hit while resident are promoted and survive churn — a
-    /// deployment knob for serving fleets whose shape universe outgrows
-    /// memory.
+    /// default) keeps every program. A bound is split into per-shard caps
+    /// that sum to it, and each cache shard enforces its own cap under
+    /// its lock, so the cache never holds more than the bound. Within a
+    /// shard a segmented-LRU policy evicts unreferenced programs in
+    /// insertion order while shapes that were hit while resident are
+    /// promoted and survive churn — a deployment knob for serving fleets
+    /// whose shape universe outgrows memory.
     #[serde(default)]
     pub cache_capacity: Option<usize>,
     /// Knobs of the staged polymerization search (shortlist size, node

@@ -91,8 +91,8 @@ pub use recovery::{quarantine_file, BundleRestore, Manifest, RestoreOutcome, Res
 pub use resilience::{BreakerDecision, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
 pub use search::{
     enumerate_strategies, enumerate_strategies_capped, improve_with_split_k, polymerize,
-    polymerize_degraded, polymerize_traced, record_search_stats, try_polymerize,
-    try_polymerize_traced, SearchPolicy, SearchRun,
+    polymerize_degraded, record_search_stats, try_polymerize, try_polymerize_traced, SearchPolicy,
+    SearchRun,
 };
 pub use serving::{
     percentile, poisson_arrivals, BatchingOptions, Disposition, DispositionCounts, DrainReport,

@@ -60,7 +60,7 @@ use tensor_ir::GemmView;
 use crate::alloc::lpt_makespan;
 use crate::cost::CostModelKind;
 use crate::error::MikPolyError;
-use crate::offline::MicroKernelLibrary;
+use crate::offline::{MicroKernelLibrary, TunedKernel};
 use crate::pattern::{Pattern, PatternId};
 use crate::plan::{CompiledProgram, Region, SearchStats};
 
@@ -363,6 +363,67 @@ fn polymerize_observed(
     }
 }
 
+/// The per-shape set-up the full search and the degraded path share: the
+/// usable kernels in Stage 2's shape-aware order (diversity promotion
+/// sized by `shortlist`) and their `f_pipe` cache, parallel to it.
+struct ShapeSetup<'l> {
+    kernels: Vec<&'l TunedKernel>,
+    pipe: Vec<f64>,
+    static_alloc: bool,
+}
+
+impl<'l> ShapeSetup<'l> {
+    fn new(
+        machine: &MachineModel,
+        library: &'l MicroKernelLibrary,
+        view: &GemmView,
+        operator: tensor_ir::Operator,
+        shortlist: usize,
+    ) -> Result<Self, MikPolyError> {
+        let static_alloc = machine.allocation == AllocationPolicy::StaticCompilerAssigned;
+        let raw_kernels = library.usable_kernels(machine, view);
+        if raw_kernels.is_empty() {
+            return Err(MikPolyError::NoFeasibleStrategy { operator });
+        }
+        let raw_pipe = pipe_cache(&raw_kernels, view.shape.k);
+        let index = library.stratified_index();
+        let order = shortlist::shape_order(
+            machine,
+            &raw_kernels,
+            &raw_pipe,
+            view,
+            static_alloc,
+            &index,
+            shortlist,
+        );
+        Ok(Self {
+            kernels: order.iter().map(|&i| raw_kernels[i]).collect(),
+            pipe: order.iter().map(|&i| raw_pipe[i]).collect(),
+            static_alloc,
+        })
+    }
+
+    /// The Eq. 2 evaluator over this kernel order under `kind`.
+    fn eval(&self, machine: &MachineModel, view: &GemmView, kind: CostModelKind) -> CostEval<'_> {
+        let best_rate = self
+            .kernels
+            .iter()
+            .zip(&self.pipe)
+            .map(|(t, &p)| {
+                t.kernel.flops_per_instance() * t.kernel.instances_for(view.shape.k) as f64 / p
+            })
+            .fold(1e-9, f64::max);
+        CostEval {
+            pipe: &self.pipe,
+            kind,
+            static_alloc: self.static_alloc,
+            num_pes: machine.num_pes,
+            flops_per_row: 2.0 * view.shape.n as f64 * view.shape.k as f64,
+            best_rate,
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn try_polymerize_observed(
     machine: &MachineModel,
@@ -377,48 +438,14 @@ fn try_polymerize_observed(
     observer: Option<StrategyObserver<'_>>,
 ) -> Result<SearchRun, MikPolyError> {
     let start = Instant::now();
-    let static_alloc = machine.allocation == AllocationPolicy::StaticCompilerAssigned;
-    let raw_kernels = library.usable_kernels(machine, view);
-    if raw_kernels.is_empty() {
-        return Err(MikPolyError::NoFeasibleStrategy { operator });
-    }
-    let raw_pipe = pipe_cache(&raw_kernels, view.shape.k);
-
-    // Stage 2: shape-aware ordering with stratified-diversity promotion.
-    let index = library.stratified_index();
-    let order = shortlist::shape_order(
-        machine,
-        &raw_kernels,
-        &raw_pipe,
-        view,
-        static_alloc,
-        &index,
-        policy.shortlist,
-    );
-    let kernels: Vec<_> = order.iter().map(|&i| raw_kernels[i]).collect();
-    let pipe: Vec<f64> = order.iter().map(|&i| raw_pipe[i]).collect();
-
-    let flops_per_row = 2.0 * view.shape.n as f64 * view.shape.k as f64;
-    let best_rate = kernels
-        .iter()
-        .zip(&pipe)
-        .map(|(t, &p)| {
-            t.kernel.flops_per_instance() * t.kernel.instances_for(view.shape.k) as f64 / p
-        })
-        .fold(1e-9, f64::max);
-    let eval = CostEval {
-        pipe: &pipe,
-        kind,
-        static_alloc,
-        num_pes: machine.num_pes,
-        flops_per_row,
-        best_rate,
-    };
+    let setup = ShapeSetup::new(machine, library, view, operator, policy.shortlist)?;
+    let (kernels, pipe, static_alloc) = (&setup.kernels, &setup.pipe, setup.static_alloc);
+    let eval = setup.eval(machine, view, kind);
     // Stage 4 applies on dynamically scheduled machines under the full
     // model: static placement already costs leaves exactly (LPT), and the
     // ablated models must keep their deliberately-ablated selection.
     let refine = policy.refine && !static_alloc && kind == CostModelKind::Full;
-    let occ = refine.then(|| OccupancyModel::new(machine, &kernels, &pipe, view));
+    let occ = refine.then(|| OccupancyModel::new(machine, kernels, pipe, view));
 
     let mut stats = SearchStats {
         patterns_tried: patterns.len(),
@@ -443,7 +470,7 @@ fn try_polymerize_observed(
             usize::MAX
         };
         let deep_limit = policy.shortlist_for(round).min(kernels.len());
-        let mut generator = Generator::new(&kernels, view.shape.m, view.shape.n, budget);
+        let mut generator = Generator::new(kernels, view.shape.m, view.shape.n, budget);
         for pattern in patterns {
             let limit = if pattern.num_regions() >= 3 {
                 if deep_limit < kernels.len() {
@@ -522,40 +549,14 @@ pub fn polymerize_degraded(
     operator: tensor_ir::Operator,
 ) -> Result<CompiledProgram, MikPolyError> {
     let start = Instant::now();
-    let static_alloc = machine.allocation == AllocationPolicy::StaticCompilerAssigned;
-    let kernels = library.usable_kernels(machine, view);
-    if kernels.is_empty() {
-        return Err(MikPolyError::NoFeasibleStrategy { operator });
-    }
-    let pipe = pipe_cache(&kernels, view.shape.k);
     // Rank with the same shape-aware ordering the full search uses, but
     // keep only the head: one kernel, one region, zero search.
-    let index = library.stratified_index();
-    let order = shortlist::shape_order(machine, &kernels, &pipe, view, static_alloc, &index, 1);
-    let Some(&top) = order.first() else {
-        return Err(MikPolyError::NoFeasibleStrategy { operator });
-    };
-    let region = Region::new(0, view.shape.m, 0, view.shape.n, kernels[top].kernel);
-
+    let setup = ShapeSetup::new(machine, library, view, operator, 1)?;
+    let region = Region::new(0, view.shape.m, 0, view.shape.n, setup.kernels[0].kernel);
     // Cost the plan with the same Eq. 2 evaluator as the full search so
     // `predicted_ns` stays comparable across grades.
-    let flops_per_row = 2.0 * view.shape.n as f64 * view.shape.k as f64;
-    let best_rate = kernels
-        .iter()
-        .zip(&pipe)
-        .map(|(t, &p)| {
-            t.kernel.flops_per_instance() * t.kernel.instances_for(view.shape.k) as f64 / p
-        })
-        .fold(1e-9, f64::max);
-    let eval = CostEval {
-        pipe: &pipe,
-        kind: CostModelKind::Full,
-        static_alloc,
-        num_pes: machine.num_pes,
-        flops_per_row,
-        best_rate,
-    };
-    let predicted_ns = eval.finish(eval.extend(Partial::default(), &region, top));
+    let eval = setup.eval(machine, view, CostModelKind::Full);
+    let predicted_ns = eval.finish(eval.extend(Partial::default(), &region, 0));
 
     let stats = SearchStats {
         strategies_evaluated: 1,
@@ -575,48 +576,8 @@ pub fn polymerize_degraded(
     })
 }
 
-/// Like [`polymerize`], but wrapped in an `online.search` span and with
-/// the resulting [`SearchStats`] accumulated into `telemetry`'s registry
-/// (see [`record_search_stats`] for the counter names). Identical to
-/// [`polymerize`] — including cost — when `telemetry` is disabled.
-#[allow(clippy::too_many_arguments)]
-pub fn polymerize_traced(
-    machine: &MachineModel,
-    library: &MicroKernelLibrary,
-    view: &GemmView,
-    operator: tensor_ir::Operator,
-    patterns: &[Pattern],
-    kind: CostModelKind,
-    prune: bool,
-    policy: &SearchPolicy,
-    telemetry: &Telemetry,
-) -> CompiledProgram {
-    if !telemetry.is_enabled() {
-        return polymerize(
-            machine, library, view, operator, patterns, kind, prune, policy,
-        );
-    }
-    let mut span = span!(
-        telemetry,
-        "online.search",
-        m = view.shape.m,
-        n = view.shape.n,
-        k = view.shape.k,
-    );
-    let program = polymerize(
-        machine, library, view, operator, patterns, kind, prune, policy,
-    );
-    span.arg("strategies_evaluated", program.stats.strategies_evaluated);
-    span.arg("strategies_pruned", program.stats.strategies_pruned);
-    span.arg("patterns_tried", program.stats.patterns_tried);
-    span.arg("escalations", program.stats.escalations);
-    record_search_stats(&program.stats, telemetry.registry());
-    program
-}
-
 /// [`try_polymerize`] under an `online.search` span, with the stats
-/// recorded into `telemetry`'s registry — the deadline-aware sibling of
-/// [`polymerize_traced`]. Errors are not recorded as search stats (no
+/// recorded into `telemetry`'s registry. Errors are not recorded as search stats (no
 /// program was produced); the caller accounts for them in its own
 /// disposition counters.
 #[allow(clippy::too_many_arguments)]

@@ -1,10 +1,10 @@
 //! The program cache under concurrency, through the public API: exact
 //! ledgers and structural invariants after multi-thread churn on a bounded
-//! cache, single flight on an unbounded one, cross-thread visibility of
-//! in-place updates, and a compiler's fault plan switching on and off
-//! between compiles.
+//! cache, the capacity bound at every instant of that churn, single flight
+//! on an unbounded one, cross-thread visibility of in-place updates, and a
+//! compiler's fault plan switching on and off between compiles.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use mikpoly_suite::accel_sim::{FaultPlan, MachineModel};
@@ -54,6 +54,63 @@ fn bounded_churn_keeps_invariants_and_an_exact_fill_ledger() {
     );
     assert_eq!(s.misses, s.computations, "every miss filled: {s:?}");
     assert_eq!(s.in_flight(), 0);
+}
+
+#[test]
+fn bounded_churn_never_shows_more_entries_than_capacity() {
+    let cache: ShardedCache<u64, u64> = ShardedCache::bounded(32);
+    let threads = 4u64;
+    let start = Barrier::new(threads as usize + 1);
+    let stop = AtomicBool::new(false);
+    let samples = std::thread::scope(|scope| {
+        let churners: Vec<_> = (0..threads)
+            .map(|t| {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..2_000u64 {
+                        let k = (t * 1_000 + i * 7) % 96;
+                        let _ = cache.get_or_compute(&k, || k * 3);
+                        if i % 3 == 0 {
+                            let _ = cache.remove(&k);
+                        }
+                        if i % 10 == 0 {
+                            cache.insert(1_000_000 + t * 10_000 + i, Arc::new(0));
+                        }
+                    }
+                })
+            })
+            .collect();
+        // The monitor samples while the churners run: every snapshot, not
+        // only the one at quiescence, must respect the bound, and each
+        // shard must be consistent whenever its lock is free.
+        let monitor = scope.spawn(|| {
+            start.wait();
+            let mut samples = 0u64;
+            while !stop.load(Ordering::SeqCst) {
+                let entries = cache.stats().entries;
+                assert!(entries <= 32, "sample {samples}: {entries} entries over 32");
+                cache
+                    .check_invariants()
+                    .unwrap_or_else(|e| panic!("sample {samples}: {e}"));
+                samples += 1;
+            }
+            samples
+        });
+        for churner in churners {
+            churner.join().expect("churn thread");
+        }
+        stop.store(true, Ordering::SeqCst);
+        monitor.join().expect("monitor thread")
+    });
+    assert!(samples > 0, "the monitor never sampled");
+    let s = cache.stats();
+    assert!(s.evictions > 0, "the bound never evicted: {s:?}");
+    assert_eq!(
+        s.entries + s.evictions + s.invalidations,
+        s.computations + s.direct_inserts,
+        "fill ledger does not close: {s:?}"
+    );
 }
 
 #[test]
